@@ -15,9 +15,8 @@ from .analysis import (BoundsCheck, Classification, CriticalPoint,
                        positivity_profile)
 from .descent import DescentOptions, initial_guess, minimize
 from .energy import EnergyModel
-from .grid import (DomainMismatchError, DomainSpec, Field, PoissonSolveError,
-                   apply_neg_laplacian, inner_product, quadrature,
-                   solve_poisson)
+from .grid import (DomainMismatchError, DomainSpec, Field, apply_neg_laplacian,
+                   inner_product, quadrature, solve_poisson)
 from .mountainpass import MPOptions, PathCollapseError, PathState, find_mountain_pass
 from .nonlinearity import (ConditionGReport, Nonlinearity, TruncationMode,
                            antiderivative, preset_corollary, truncate,
@@ -31,8 +30,8 @@ __all__ = [
     "BoundsCheck", "Classification", "ConditionGReport", "CriticalPoint",
     "DescentOptions", "DomainMismatchError", "DomainSpec", "Eigenpair",
     "EnergyModel", "Field", "MorseIndexResult", "MPOptions",
-    "Nonlinearity", "PathCollapseError", "PathState", "PoissonSolveError",
-    "PositivityProfile", "ShotResult", "SolveReport", "TruncationMode",
+    "Nonlinearity", "PathCollapseError", "PathState", "PositivityProfile",
+    "ShotResult", "SolveReport", "TruncationMode",
     "antiderivative", "apply_neg_laplacian", "assemble_report",
     "build_preset", "check_bounds", "cubic_nonlinearity", "eigenpairs",
     "find_branch", "find_mountain_pass", "initial_guess", "inner_product",

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import EnergyModel
-from .grid import DomainSpec, Field, neg_laplacian_values
+from .grid import DomainSpec, Field, neg_laplacian_values, solve_shifted_values
 from .nonlinearity import ConditionGReport, TruncationMode
 from .spectrum import sandwich_index
 
-_EIG_SEED = 0x5EED
+_WEYL_STEP = 0.5 * (5.0 ** 0.5 - 1.0)  # golden-ratio conjugate
 _EIG_RESTARTS = 400
 _MAX_EIGS = 40
 
@@ -113,23 +113,23 @@ def positivity_profile(u: Field) -> PositivityProfile:
                              min_boundary_slope=float(slope))
 
 
-def _cg_solve(apply_op, b, tol_rel, cap):
-    """Plain CG for an SPD operator, relative l2 residual stopping rule."""
+def _cg_solve(apply_op, precondition, b, tol_rel):
+    """Preconditioned CG for an SPD operator, relative l2 residual stopping rule."""
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
-    rs = float(np.dot(r, r))
+    p = precondition(r)
+    rz = float(np.dot(r, p))
     b_norm = float(np.linalg.norm(b))
-    for _ in range(cap):
-        if np.sqrt(rs) <= tol_rel * b_norm:
+    for _ in range(20 * b.size):
+        if np.linalg.norm(r) <= tol_rel * b_norm:
             break
         Ap = apply_op(p)
-        alpha = rs / float(np.dot(p, Ap))
+        alpha = rz / float(np.dot(p, Ap))
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(np.dot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = precondition(r)
+        rz, rz_old = float(np.dot(r, z)), rz
+        p = z + (rz / rz_old) * p
     return x
 
 
@@ -138,12 +138,15 @@ def _smallest_eigenvalues(model: EnergyModel, u_values: np.ndarray,
     """num_eigs smallest eigenvalues of v -> -lap v - g'(u) v.
 
     Shifted inverse iteration run on a block: the shift
-    -(sup g' over the root interval) - 1 makes the shifted operator
-    positive definite, so each inverse apply is a plain CG solve.  The
-    block is iterated simultaneously with Rayleigh-Ritz extraction (the
-    orthonormalization doubles as deflation), which keeps clustered
-    eigenvalues converging at the subspace ratio rather than the pairwise
-    one.
+    -(sup g' over the root interval) - 1 makes the shifted operator -lap + d,
+    d = -g'(u) - shift >= 1, positive definite, so each inverse apply is a
+    CG solve preconditioned by the direct solve of -lap + mean(d), which is
+    exact where g' is constant, as at the origin.  The block is iterated
+    simultaneously with Rayleigh-Ritz extraction (the orthonormalization
+    doubles as deflation), which keeps clustered eigenvalues converging at
+    the subspace ratio rather than the pairwise one.  The start block is a
+    Weyl sequence: deterministic, with no symmetry that the iteration could
+    preserve and so hide an eigenvector class from.
     """
     spec = model.domain
     weight = model.nl.gprime(u_values)
@@ -155,15 +158,16 @@ def _smallest_eigenvalues(model: EnergyModel, u_values: np.ndarray,
     def apply_shifted(v):
         return apply_lin(v) - shift * v
 
+    mean_diag = float(np.mean(-weight - shift))
     n = spec.size
     block = min(num_eigs + 3, n)
-    cap = 20 * n
-    rng = np.random.default_rng(_EIG_SEED)
-    basis, _ = np.linalg.qr(rng.standard_normal((n, block)))
-    theta = np.zeros(block)
+    start = (np.arange(1, n * block + 1) * _WEYL_STEP) % 1.0 - 0.5
+    basis, _ = np.linalg.qr(start.reshape(n, block))
     for _ in range(_EIG_RESTARTS):
         for j in range(block):
-            basis[:, j] = _cg_solve(apply_shifted, basis[:, j], 1e-12, cap)
+            basis[:, j] = _cg_solve(
+                apply_shifted, lambda r: solve_shifted_values(spec, r, mean_diag),
+                basis[:, j], 1e-12)
         basis, _ = np.linalg.qr(basis)
         images = np.column_stack([apply_lin(basis[:, j]) for j in range(block)])
         projected = basis.T @ images

@@ -56,7 +56,6 @@ _SCHEMA: dict[str, type] = {
     "mountainpass.perturbation": float,
     "mountainpass.collapse_tol": float,
     "mountainpass.restart_limit": int,
-    "poisson.tol": float,
     "morse.num_eigs": int,
     "morse.tol": float,
     "validate.samples": int,
@@ -173,14 +172,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def _options(self, cls, prefix, extra=()):
+    def _options(self, cls, prefix):
         kwargs = {}
-        for name in list(cls.__dataclass_fields__) + list(extra):
+        for name in cls.__dataclass_fields__:
             key = f"{prefix}.{name}"
             if key in self.settings:
                 kwargs[name] = self.settings[key]
-        if "poisson.tol" in self.settings and "poisson_tol" in cls.__dataclass_fields__:
-            kwargs["poisson_tol"] = self.settings["poisson.tol"]
         return cls(**kwargs)
 
     def descent_options(self) -> DescentOptions:

@@ -28,7 +28,6 @@ class DescentOptions:
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     initial_step: float = 1.0
-    poisson_tol: float = 1e-10
     callback: Callable[[dict], None] | None = None
 
     def __post_init__(self):
@@ -104,7 +103,7 @@ def minimize(model: EnergyModel, u0: Field,
             break
         if it == opts.max_iters:
             break
-        direction = -model.preconditioned_values(u, opts.poisson_tol)
+        direction = -model.preconditioned_values(u)
         slope = vol * float(np.dot(residual, direction))
         step, decrease = _armijo_step(model, u, residual, direction, slope, opts)
         if step is None:

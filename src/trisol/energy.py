@@ -18,8 +18,6 @@ from .grid import (DomainSpec, Field, _check_same_domain,
 from .nonlinearity import (Nonlinearity, TruncationMode, antiderivative,
                            truncate, truncation_increments)
 
-DEFAULT_PRECONDITIONER_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class EnergyModel:
@@ -48,9 +46,8 @@ class EnergyModel:
         return neg_laplacian_values(self.domain, values) \
             - truncate(self.nl, self.mode, values)
 
-    def preconditioned_values(self, values: np.ndarray, tol: float) -> np.ndarray:
-        w = solve_poisson_values(
-            self.domain, truncate(self.nl, self.mode, values), tol)
+    def preconditioned_values(self, values: np.ndarray) -> np.ndarray:
+        w = solve_poisson_values(self.domain, truncate(self.nl, self.mode, values))
         return values - w
 
     def phi_increment(self, values: np.ndarray, residual: np.ndarray,
@@ -83,12 +80,11 @@ class EnergyModel:
         _check_same_domain(self.domain, u)
         return Field(self.domain, self.residual_values(u.values))
 
-    def grad_preconditioned(self, u: Field,
-                            tol: float = DEFAULT_PRECONDITIONER_TOL) -> Field:
+    def grad_preconditioned(self, u: Field) -> Field:
         """u minus the Poisson solve of the truncated nonlinearity.
 
         Applying the stencil to this field reproduces grad_residual up to
-        the Poisson tolerance, so both gradients vanish together.
+        rounding (the solve is direct), so both gradients vanish together.
         """
         _check_same_domain(self.domain, u)
-        return Field(self.domain, self.preconditioned_values(u.values, tol))
+        return Field(self.domain, self.preconditioned_values(u.values))

@@ -2,13 +2,15 @@
 
 Fields store interior node values only; the homogeneous Dirichlet boundary
 is implicit.  The negative Laplacian is the standard 3-point (1D) or
-5-point (2D) second-order stencil, quadrature is composite midpoint with
-weight h^d per interior node, and the Poisson solver is plain conjugate
-gradients on the stencil.
+5-point (2D) second-order stencil, and quadrature is composite midpoint with
+weight h^d per interior node.  DST-I diagonalizes the stencil exactly, so
+Poisson solves, plain or shifted, are direct (Buzbee, Golub & Nielson 1970).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,19 +21,6 @@ QUADRATURE_KINDS = ("integral", "l2_norm", "sup_norm", "h1_seminorm")
 
 class DomainMismatchError(ValueError):
     """A field was used with a domain it does not belong to."""
-
-
-class PoissonSolveError(RuntimeError):
-    """Conjugate gradients hit the iteration cap before reaching tolerance."""
-
-    def __init__(self, iterations: int, residual: float, target: float):
-        self.iterations = iterations
-        self.residual = residual
-        self.target = target
-        super().__init__(
-            f"Poisson solve did not converge: {iterations} iterations, "
-            f"residual {residual:.3e} > target {target:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -166,16 +155,21 @@ def _check_same_domain(domain: DomainSpec, u: Field) -> None:
 
 
 def neg_laplacian_values(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
-    """Stencil application on a raw interior-value array."""
-    if domain.ndim == 1:
-        (h,) = domain.spacings
-        p = np.concatenate(([0.0], values, [0.0]))
-        return (2.0 * values - p[:-2] - p[2:]) / (h * h)
-    hx, hy = domain.spacings
+    """Stencil application on a raw interior-value array.
+
+    Per axis (2 u_i - u_{i-1} - u_{i+1}) / h^2, with the missing neighbors
+    of boundary-adjacent nodes taken as the zero Dirichlet data.
+    """
     v = values.reshape(domain.counts)
-    p = np.pad(v, 1)
-    out = (2.0 * v - p[:-2, 1:-1] - p[2:, 1:-1]) / (hx * hx)
-    out += (2.0 * v - p[1:-1, :-2] - p[1:-1, 2:]) / (hy * hy)
+    out = None
+    for axis, h in enumerate(domain.spacings):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        term = 2.0 * v
+        term[hi] -= v[lo]
+        term[lo] -= v[hi]
+        term /= h * h
+        out = term if out is None else out + term
     return out.ravel()
 
 
@@ -234,50 +228,49 @@ def inner_product(domain: DomainSpec, u: Field, v: Field) -> float:
     return float(domain.cell_volume * np.dot(u.values, v.values))
 
 
-def solve_poisson_values(domain: DomainSpec, rhs: np.ndarray, tol: float,
-                         x0: np.ndarray | None = None) -> np.ndarray:
-    """Conjugate gradients for -lap w = rhs on raw arrays.
+@functools.lru_cache(maxsize=8)
+def _symbol(domain: DomainSpec) -> np.ndarray:
+    """Stencil eigenvalues on the DST-I coefficient grid: mode k of an axis
+    with n nodes and spacing h gives 4/h^2 sin^2(k pi / 2(n+1)), axes add."""
+    lams = [4.0 / (h * h) * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+            for n, h in zip(domain.counts, domain.spacings)]
+    return lams[0] if domain.ndim == 1 else np.add.outer(*lams)
 
-    Stops when the sup-norm residual is at most tol * max(1, sup |rhs|);
-    the stencil is symmetric positive definite so CG applies directly.
+
+def _dst(a: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I over every axis, X_k = sum_j a_j sin(pi j k / (n+1)).
+
+    Each pass is the real FFT of the odd extension [0, a, 0, -reversed a]
+    along the last axis, then a transpose so the next pass takes the other
+    axis.  Applying it twice multiplies by (n+1)/2 per axis.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    target = tol * max(1.0, float(np.max(np.abs(rhs))) if rhs.size else 0.0)
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - neg_laplacian_values(domain, x)
-    p = r.copy()
-    rs = float(np.dot(r, r))
-    cap = 10 * domain.size
-    resid = float(np.max(np.abs(r)))
-    it = 0
-    while resid > target:
-        if it >= cap:
-            raise PoissonSolveError(it, resid, target)
-        if rs == 0.0:
-            # recurrence collapsed before the true residual did; restart it
-            r = rhs - neg_laplacian_values(domain, x)
-            p = r.copy()
-            rs = float(np.dot(r, r))
-            if rs == 0.0:
-                break
-        Ap = neg_laplacian_values(domain, p)
-        alpha = rs / float(np.dot(p, Ap))
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(np.dot(r, r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        it += 1
-        resid = float(np.max(np.abs(rhs - neg_laplacian_values(domain, x))))
-    return x
+    for _ in range(a.ndim):
+        n = a.shape[-1]
+        ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+        ext[..., 1:n + 1] = a
+        ext[..., n + 2:] = -a[..., ::-1]
+        a = (-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag).T
+    return a
 
 
-def solve_poisson(domain: DomainSpec, rhs: Field, tol: float) -> Field:
-    """Solve -lap w = rhs with zero Dirichlet data.
+def solve_shifted_values(domain: DomainSpec, rhs: np.ndarray, shift: float) -> np.ndarray:
+    """Direct solve of (-lap + shift) w = rhs on raw arrays.
 
-    Returns w with sup |(-lap w) - rhs| <= tol * max(1, sup |rhs|).
-    Raises PoissonSolveError after 10 * (total nodes) CG iterations.
+    A sine transform, a division by the shifted symbol (which shift must
+    keep positive), and the inverse transform.
     """
+    scale = math.prod(2.0 / (n + 1) for n in domain.counts)
+    coeffs = _dst(rhs.reshape(domain.counts))
+    coeffs *= scale / (_symbol(domain) + shift)
+    return _dst(coeffs).ravel()
+
+
+def solve_poisson_values(domain: DomainSpec, rhs: np.ndarray) -> np.ndarray:
+    """Direct solve of -lap w = rhs on raw arrays, exact up to rounding."""
+    return solve_shifted_values(domain, rhs, 0.0)
+
+
+def solve_poisson(domain: DomainSpec, rhs: Field) -> Field:
+    """Solve -lap w = rhs with zero Dirichlet data."""
     _check_same_domain(domain, rhs)
-    return Field(domain, solve_poisson_values(domain, rhs.values, tol))
+    return Field(domain, solve_poisson_values(domain, rhs.values))

@@ -5,9 +5,9 @@ iteration locates the maximum-energy interior node, moves it by one
 backtracked step, and re-equidistributes the remaining nodes by discrete H1
 arclength.  A pure descent step would slide the maximum node off the ridge,
 so its step reflects the along-path component of the preconditioned
-direction (descend transversally, climb along the path) and is accepted on
-residual decrease, falling back to a plain Armijo descent step while the
-path is still far from any saddle.  The maximum node is pinned during
+direction (descend transversally, climb along the path), stays within the
+node's stretch of the path and is accepted on residual decrease, falling
+back to a plain Armijo descent step while the path is far from any saddle.  The maximum node is pinned during
 redistribution so it can converge in place.
 """
 
@@ -19,12 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .analysis import Classification, CriticalPoint, morse_index
+from .descent import STEP_UNDERFLOW
 from .energy import EnergyModel
 from .grid import Field, h1_seminorm_sq_values
 from .nonlinearity import TruncationMode
 from .spectrum import eigenpairs
-
-STEP_UNDERFLOW = 1e-16
 
 
 class PathCollapseError(RuntimeError):
@@ -40,7 +39,6 @@ class MPOptions:
     armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
     initial_step: float = 1.0
-    poisson_tol: float = 1e-10
     perturbation: float = 0.1       # midpoint bump along phi_2, in units of delta
     collapse_tol: float = 1e-6
     restart_limit: int = 3
@@ -108,18 +106,23 @@ def _descend_max_node(model, u, residual, opts, tangent):
     off it and cannot converge in place.  The move tried first is the
     preconditioned direction with its along-path component reflected
     (descend transversally, climb along the tangent), accepted when it
-    shrinks the l2 residual.  When no reflected step helps, one plain
+    shrinks the l2 residual; residual decrease alone also accepts steps
+    that lift the node far above the path, so the step is capped at half
+    the H1 length of the tangent.  When no reflected step helps, one plain
     Armijo descent step reshapes the path instead.
     """
     vol = model.domain.cell_volume
-    direction = -model.preconditioned_values(u, opts.poisson_tol)
+    direction = -model.preconditioned_values(u)
 
     tau_sq = h1_seminorm_sq_values(model.domain, tangent)
     if tau_sq > 0.0:
         coeff = 2.0 * vol * float(np.dot(residual, tangent)) / (vol * tau_sq)
         reflected = direction + coeff * tangent
         res_norm = np.linalg.norm(residual)
+        reflected_sq = h1_seminorm_sq_values(model.domain, reflected)
         step = opts.initial_step
+        if reflected_sq > 0.0:
+            step = min(step, 0.5 * np.sqrt(tau_sq / reflected_sq))
         # useful reflected steps are O(1); below 1e-8 let the plain step act
         while step >= 1e-8:
             candidate = u + step * reflected

@@ -3,8 +3,8 @@ antiderivatives.
 
 A Nonlinearity bundles g, g', the roots a- < 0 < a+, the radius delta of
 the interval where g(t)/t is pinched between two consecutive Dirichlet
-eigenvalues, and the claimed index k of the lower eigenvalue.  g and g'
-must be numpy-vectorized: they receive and return arrays.
+eigenvalues, the claimed index k of the lower eigenvalue, and optionally a
+closed-form primitive G(t) = int_0^t g.  g, g' and G must be vectorized.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class Nonlinearity:
     a_plus: float
     delta: float
     k: int
+    primitive: Callable[[np.ndarray], np.ndarray] | None = None
     # derived bounds over [a_minus, a_plus], sampled once at construction
     scale: float = dc_field(init=False)
     gprime_max: float = dc_field(init=False)
@@ -78,7 +79,8 @@ def _gauss_integrate(g, a, b, tol):
     """Vectorized integral of g over each [a_i, b_i] by panel-doubled Gauss-Legendre.
 
     Doubles the panel count until successive values agree within tol
-    elementwise; exact from the first comparison for polynomial g.
+    elementwise, or within 4 ulps where tol is below rounding; exact from
+    the first comparison for polynomial g.
     """
     span = b - a
     prev = None
@@ -88,7 +90,8 @@ def _gauss_integrate(g, a, b, tol):
         sig = a[:, None] + span[:, None] * offs[None, :]
         vals = np.asarray(g(sig)).reshape(len(a), panels, _GL_ORDER)
         cur = span / panels * (vals @ _gl_w).sum(axis=1)
-        if prev is not None and np.all(np.abs(cur - prev) <= tol):
+        if prev is not None and np.all(
+                np.abs(cur - prev) <= np.maximum(tol, 4.0 * np.spacing(np.abs(cur)))):
             return cur
         if panels >= _MAX_PANELS:
             return cur
@@ -99,15 +102,19 @@ def _gauss_integrate(g, a, b, tol):
 def antiderivative(nl: Nonlinearity, mode: TruncationMode, t):
     """Integral of the truncated g from 0 to t.
 
-    Constant beyond the support (the truncation vanishes there), evaluated
-    by adaptive Gauss-Legendre quadrature with absolute tolerance
+    Constant beyond the support (the truncation vanishes there).  The
+    closed-form primitive when nl has one, else adaptive Gauss-Legendre
+    quadrature with absolute tolerance
     1e-12 * max(1, |t|) * scale per entry.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     lo, hi = nl.support(mode)
     upper = np.clip(arr, lo, hi)  # integrand vanishes beyond the support
-    tol = 1e-12 * np.maximum(1.0, np.abs(arr)) * nl.scale
-    out = _gauss_integrate(nl.g, np.zeros_like(upper), upper, tol)
+    if nl.primitive is not None:
+        out = nl.primitive(upper)
+    else:
+        tol = 1e-12 * np.maximum(1.0, np.abs(arr)) * nl.scale
+        out = _gauss_integrate(nl.g, np.zeros_like(upper), upper, tol)
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 

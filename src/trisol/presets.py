@@ -17,11 +17,11 @@ PRESET_NAMES = ("p1-interval", "p2-square")
 
 def cubic_nonlinearity(spec: DomainSpec, lam: float = 60.0,
                        delta: float = 1.0) -> Nonlinearity:
-    """g(t) = lam t - t^3 with roots at +-sqrt(lam).
+    """g(t) = lam t - t^3, roots +-sqrt(lam), primitive lam t^2/2 - t^4/4.
 
     Written as t * t * t rather than t ** 3: the products negate exactly in
-    floating point, so g is odd to the last bit and the minus-mode descent
-    mirrors the plus-mode one bitwise.
+    floating point, so g is odd and G even to the last bit, and the
+    minus-mode descent mirrors the plus-mode one bitwise.
     """
     root = lam ** 0.5
     return Nonlinearity(
@@ -31,6 +31,7 @@ def cubic_nonlinearity(spec: DomainSpec, lam: float = 60.0,
         a_plus=root,
         delta=delta,
         k=sandwich_index(spec, lam),
+        primitive=lambda t: (t * t) * (0.5 * lam - 0.25 * (t * t)),
     )
 
 

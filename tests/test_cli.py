@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trisol
 from trisol.cli import (ConfigError, RunConfig, main, parse_config_file,
                         read_field_csv, write_field_csv)
 from trisol.grid import DomainSpec, Field
@@ -141,6 +146,53 @@ def test_solve_command_small_interval(tmp_path, capsys):
     spec = DomainSpec.interval(1.0, 31)
     u_star = read_field_csv(out / "u_star.csv", spec)
     assert np.max(np.abs(u_star.values)) > 0.1
+
+
+def test_solve_command_large_interval(tmp_path, capsys):
+    # n = 511 is past the grids the presets ship with
+    out = tmp_path / "out"
+    rc = main(["solve", "--preset", "p1-interval", "--n", "511",
+               "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert all(report["flags"].values())
+    assert [p["morse_index"] for p in report["points"]] == [0, 0, 1, 2]
+
+
+def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys):
+    # Poisson solves are direct, so the old tolerance key is unknown now
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = p1-interval\ngrid.n = 31\npoisson.tol = 1e-10\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'poisson.tol'" in capsys.readouterr().err
+
+
+def _optional_numpy_modules_after(argv, cwd):
+    """Run main(argv) in a fresh interpreter; report which of numpy.random
+    and numpy.fft it imported."""
+    code = ("import sys\n"
+            "from trisol.cli import main\n"
+            f"main({argv!r})\n"
+            "print([m for m in ('numpy.random', 'numpy.fft') if m in sys.modules])")
+    src = str(Path(trisol.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_solve_and_oracle_skip_optional_numpy_modules(tmp_path):
+    # numpy.random alone costs several MB of resident memory; the oracle
+    # needs no sine transform either
+    solve = ["solve", "--preset", "p1-interval", "--n", "31",
+             "--out", str(tmp_path / "out")]
+    assert _optional_numpy_modules_after(solve, tmp_path) == "['numpy.fft']"
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text("preset = p1-interval\noracle.slope_step = 0.5\n"
+                   "oracle.steps = 512\n")
+    oracle = ["oracle", "--config", str(cfg)]
+    assert _optional_numpy_modules_after(oracle, tmp_path) == "[]"
 
 
 def test_solve_command_failing_flag_is_exit_1(tmp_path, capsys):

@@ -13,10 +13,9 @@ from trisol.spectrum import eigenpairs
 RT60 = np.sqrt(60.0)
 
 
-@pytest.fixture(scope="module")
-def solved():
-    spec = DomainSpec.interval(1.0, 63)
-    nl = cubic_nonlinearity(spec)
+def _solve_minimizers(n, lam):
+    spec = DomainSpec.interval(1.0, n)
+    nl = cubic_nonlinearity(spec, lam)
     phi1 = eigenpairs(spec, 1)[0]
     plus_model = EnergyModel(spec, nl, TruncationMode.PLUS)
     minus_model = EnergyModel(spec, nl, TruncationMode.MINUS)
@@ -24,6 +23,11 @@ def solved():
     plus = minimize(plus_model, initial_guess(plus_model, phi1))
     minus = minimize(minus_model, initial_guess(minus_model, phi1))
     return spec, nl, full_model, minus, plus
+
+
+@pytest.fixture(scope="module")
+def solved():
+    return _solve_minimizers(63, 60.0)
 
 
 def test_mountain_pass_converges(solved):
@@ -45,11 +49,21 @@ def test_mountain_pass_converges(solved):
 
 
 def test_path_maximum_essentially_nonincreasing(solved):
+    _check_path_maximum_essentially_nonincreasing(*solved)
+
+
+@pytest.mark.parametrize("lam", [65.0, 60.0 + 1e-7])
+def test_path_maximum_essentially_nonincreasing_n127(lam):
+    # inputs on which an unbounded reflected step lifted the path maximum
+    # by several units above its start
+    _check_path_maximum_essentially_nonincreasing(*_solve_minimizers(127, lam))
+
+
+def _check_path_maximum_essentially_nonincreasing(spec, nl, full_model, minus, plus):
     # sampled along nodes and chord midpoints, the path maximum never rises
     # meaningfully above its starting level (redistribution resamples the
     # same polyline, so only line-search-scale slack is allowed) and ends
     # far below it at the pass level
-    spec, nl, full_model, minus, plus = solved
     fine_history = []
 
     def watch(info):

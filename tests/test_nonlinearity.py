@@ -215,3 +215,36 @@ def test_preset_corollary_needs_superlinear_f(interval_spec):
     # f = 0 never produces a root of lambda t - f(t)
     with pytest.raises(RuntimeError, match="sign change"):
         preset_corollary(interval_spec, 60.0, lambda t: 0.0 * t, lambda t: 0.0 * t)
+
+
+def test_primitive_matches_quadrature(nl):
+    # the cubic's closed-form primitive against the quadrature used for
+    # general g, at the quadrature's own tolerance
+    assert nl.primitive is not None
+    by_quadrature = Nonlinearity(nl.g, nl.gprime, nl.a_minus, nl.a_plus,
+                                 nl.delta, nl.k)
+    ts = np.random.default_rng(41).uniform(-12.0, 12.0, 2000)
+    for mode in TruncationMode:
+        closed = antiderivative(nl, mode, ts)
+        quadrature = antiderivative(by_quadrature, mode, ts)
+        assert np.all(np.abs(closed - quadrature)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ts)) * nl.scale)
+
+
+def test_increment_quadrature_stops_at_rounding_floor(nl):
+    # with u = 0 the tolerance is 1e-13 while the integral reaches ~820,
+    # whose ulp is larger: without a rounding floor the panel doubling
+    # runs to its cap (over 24000 g evaluations per node)
+    evaluations = []
+
+    def g(t):
+        evaluations.append(np.size(t))
+        return nl.g(t)
+
+    counted = Nonlinearity(g, nl.gprime, nl.a_minus, nl.a_plus, nl.delta, nl.k)
+    s = np.linspace(0.5, 7.7, 721)
+    evaluations.clear()
+    inc = truncation_increments(counted, TruncationMode.FULL, np.zeros_like(s), s)
+    assert sum(evaluations) <= (12 * (1 + 2 + 4) + 1) * s.size
+    assert np.allclose(inc, antiderivative(nl, TruncationMode.FULL, s),
+                       rtol=1e-13, atol=0.0)
