@@ -94,23 +94,11 @@ def positivity_profile(u: Field) -> PositivityProfile:
     the axis it touches (the boundary value is zero), and the reported
     number is the minimum over all boundary-adjacent nodes.
     """
-    vals = u.values
-    positive = bool(np.all(vals > 0.0))
-    spec = u.domain
-    if spec.ndim == 1:
-        (h,) = spec.spacings
-        slope = min(vals[0] / h, vals[-1] / h)
-    else:
-        hx, hy = spec.spacings
-        v = u.reshaped()
-        slope = min(
-            float(np.min(v[0, :])) / hx,
-            float(np.min(v[-1, :])) / hx,
-            float(np.min(v[:, 0])) / hy,
-            float(np.min(v[:, -1])) / hy,
-        )
-    return PositivityProfile(strictly_positive_interior=positive,
-                             min_boundary_slope=float(slope))
+    v = u.reshaped()
+    slope = min(float(np.min(np.moveaxis(v, axis, 0)[end])) / h
+                for axis, h in enumerate(u.domain.spacings) for end in (0, -1))
+    return PositivityProfile(strictly_positive_interior=bool(np.all(v > 0.0)),
+                             min_boundary_slope=slope)
 
 
 def _cg_solve(apply_op, precondition, b, tol_rel):

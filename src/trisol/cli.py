@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .mountainpass import MPOptions, PathCollapseError
 from .nonlinearity import Nonlinearity, validate_condition_g
 from .oracle import find_branch, sign_change_brackets, sweep
 from .pipeline import run_pipeline
-from .presets import PRESET_NAMES, cubic_nonlinearity
+from .presets import cubic_nonlinearity, preset_domain
 from .spectrum import eigenpairs
 
 
@@ -87,13 +88,6 @@ _DEFAULTS: dict = {
     "output.dir": "out",
 }
 
-_PRESET_SETTINGS = {
-    "p1-interval": {"domain.kind": "interval", "domain.length": 1.0, "grid.n": 127},
-    "p2-square": {"domain.kind": "rectangle", "domain.width": 1.0,
-                  "domain.height": 1.0, "grid.nx": 63, "grid.ny": 63},
-}
-
-
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment."""
     entries: dict = {}
@@ -130,11 +124,14 @@ class RunConfig:
         preset_name = preset or file_entries.get("preset")
         settings = dict(_DEFAULTS)
         if preset_name is not None:
-            if preset_name not in _PRESET_SETTINGS:
-                raise ConfigError(
-                    f"unknown preset {preset_name!r}; available: "
-                    f"{', '.join(PRESET_NAMES)}")
-            settings.update(_PRESET_SETTINGS[preset_name])
+            try:
+                spec = preset_domain(preset_name)
+            except KeyError as exc:
+                raise ConfigError(exc.args[0]) from exc
+            keys = (("domain.length", "grid.n") if spec.ndim == 1 else
+                    ("domain.width", "domain.height", "grid.nx", "grid.ny"))
+            settings["domain.kind"] = spec.describe()["kind"]
+            settings.update(zip(keys, spec.lengths + spec.counts))
         settings.update({k: v for k, v in file_entries.items() if k != "preset"})
         if n is not None:
             if n < 3:
@@ -178,7 +175,10 @@ class RunConfig:
             key = f"{prefix}.{name}"
             if key in self.settings:
                 kwargs[name] = self.settings[key]
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{prefix} options: {exc}") from exc
 
     def descent_options(self) -> DescentOptions:
         return self._options(DescentOptions, "descent")
@@ -192,47 +192,33 @@ class RunConfig:
 
 # -- serialization ---------------------------------------------------------
 
+def _csv_header(spec: DomainSpec) -> list[str]:
+    return ["x", "y"][:spec.ndim] + ["u"]
+
+
 def write_field_csv(path: Path, spec: DomainSpec, u: Field) -> None:
-    """Write a field with boundary rows included and u = 0 there."""
-    axes = spec.axes()
+    """Write a field with boundary rows included and u = 0 there, one row
+    per node with the last axis varying fastest."""
+    edges = [np.concatenate(([0.0], axis, [L]))
+             for axis, L in zip(spec.axes(), spec.lengths)]
+    row = "%.17g," * spec.ndim + "%.17g\n"
     with open(path, "w") as fh:
-        if spec.ndim == 1:
-            (h,) = spec.spacings
-            (L,) = spec.lengths
-            xs = np.concatenate(([0.0], axes[0], [L]))
-            us = np.concatenate(([0.0], u.values, [0.0]))
-            fh.write("x,u\n")
-            for x, val in zip(xs, us):
-                fh.write(f"{x:.17g},{val:.17g}\n")
-        else:
-            Lx, Ly = spec.lengths
-            xs = np.concatenate(([0.0], axes[0], [Lx]))
-            ys = np.concatenate(([0.0], axes[1], [Ly]))
-            grid = np.zeros((len(xs), len(ys)))
-            grid[1:-1, 1:-1] = u.reshaped()
-            fh.write("x,y,u\n")
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    fh.write(f"{x:.17g},{y:.17g},{grid[i, j]:.17g}\n")
+        fh.write(",".join(_csv_header(spec)) + "\n")
+        for point, val in zip(itertools.product(*edges), np.pad(u.reshaped(), 1).ravel()):
+            fh.write(row % (*point, val))
 
 
 def read_field_csv(path: Path, spec: DomainSpec) -> Field:
     """Reload a field written by write_field_csv; exact for 17-digit output."""
     rows = Path(path).read_text().strip().splitlines()
     header = rows[0].split(",")
-    data = np.array([[float(tok) for tok in row.split(",")] for row in rows[1:]])
-    if spec.ndim == 1:
-        if header != ["x", "u"]:
-            raise ValueError(f"unexpected header {header}")
-        values = data[:, 1]
-        if len(values) != spec.counts[0] + 2:
-            raise ValueError("row count does not match the grid")
-        return Field(spec, values[1:-1])
-    if header != ["x", "y", "u"]:
+    if header != _csv_header(spec):
         raise ValueError(f"unexpected header {header}")
-    nx, ny = spec.counts
-    grid = data[:, 2].reshape(nx + 2, ny + 2)
-    return Field(spec, grid[1:-1, 1:-1].ravel())
+    data = np.array([[float(tok) for tok in row.split(",")] for row in rows[1:]])
+    shape = tuple(n + 2 for n in spec.counts)
+    if len(data) != np.prod(shape):
+        raise ValueError("row count does not match the grid")
+    return Field(spec, data[:, -1].reshape(shape)[(slice(1, -1),) * spec.ndim])
 
 
 _POINT_FILES = ("u_minus.csv", "u_plus.csv", "u_star.csv", "u_zero.csv")

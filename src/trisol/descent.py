@@ -21,8 +21,10 @@ from .spectrum import Eigenpair
 STEP_UNDERFLOW = 1e-16
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DescentOptions:
+    """Line-search settings, shared with the path search's MPOptions."""
+
     max_iters: int = 5000
     grad_tol: float = 1e-8          # on sup |grad_residual|, times scale
     armijo_c: float = 1e-4

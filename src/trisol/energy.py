@@ -39,8 +39,8 @@ class EnergyModel:
         rows = np.atleast_2d(rows)
         nonlin = antiderivative(self.nl, self.mode, rows.ravel())
         nonlin = nonlin.reshape(rows.shape).sum(axis=1)
-        h1 = np.array([h1_seminorm_sq_values(self.domain, row) for row in rows])
-        return 0.5 * h1 - self.domain.cell_volume * nonlin
+        return 0.5 * h1_seminorm_sq_values(self.domain, rows) \
+            - self.domain.cell_volume * nonlin
 
     def residual_values(self, values: np.ndarray) -> np.ndarray:
         return neg_laplacian_values(self.domain, values) \

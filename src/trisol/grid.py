@@ -120,11 +120,7 @@ class Field:
     @classmethod
     def from_callable(cls, domain: DomainSpec, fn: Callable) -> "Field":
         """Sample fn(x) or fn(x, y) on the interior nodes."""
-        axes = domain.axes()
-        if domain.ndim == 1:
-            return cls(domain, fn(axes[0]))
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return cls(domain, fn(X, Y).ravel())
+        return cls(domain, fn(*np.meshgrid(*domain.axes(), indexing="ij")))
 
     def reshaped(self) -> np.ndarray:
         """Values arranged on the grid, shape = interior counts."""
@@ -183,22 +179,30 @@ def apply_neg_laplacian(domain: DomainSpec, u: Field) -> Field:
     return Field(domain, neg_laplacian_values(domain, u.values))
 
 
-def h1_seminorm_sq_values(domain: DomainSpec, values: np.ndarray) -> float:
+def h1_seminorm_sq_values(domain: DomainSpec, values: np.ndarray) -> float | np.ndarray:
     """Squared discrete H1 seminorm, as the sum of squared forward differences.
 
     Includes the one-sided differences to the zero boundary; by summation by
-    parts this equals h^d <u, -lap u> up to rounding.
+    parts this equals h^d <u, -lap u> up to rounding.  values is one field
+    (size,) or a stack (m, size); the result is a scalar or one per row.
     """
+    stack = values.shape[:-1]
+    v = values.reshape(stack + domain.counts)
+    sums = []
+    for axis in range(len(stack), v.ndim):
+        pre = (slice(None),) * axis
+        shape = list(v.shape)
+        shape[axis] += 1
+        d = np.empty(shape)     # differences along axis, zero boundary included
+        d[pre + (0,)] = v[pre + (0,)]
+        np.subtract(v[pre + (slice(1, None),)], v[pre + (slice(None, -1),)],
+                    out=d[pre + (slice(1, -1),)])
+        d[pre + (-1,)] = -v[pre + (-1,)]
+        d *= d
+        sums.append(d.reshape(stack + (-1,)).sum(axis=-1))
     if domain.ndim == 1:
-        (h,) = domain.spacings
-        d = np.diff(np.concatenate(([0.0], values, [0.0])))
-        return float(np.sum(d * d) / h)
-    hx, hy = domain.spacings
-    v = np.pad(values.reshape(domain.counts), 1)
-    dx = np.diff(v, axis=0)[:, 1:-1]
-    dy = np.diff(v, axis=1)[1:-1, :]
-    vol = domain.cell_volume
-    return float(vol * (np.sum(dx * dx) / (hx * hx) + np.sum(dy * dy) / (hy * hy)))
+        return sums[0] / domain.spacings[0]
+    return domain.cell_volume * sum(s / (h * h) for s, h in zip(sums, domain.spacings))
 
 
 def quadrature(domain: DomainSpec, u: Field, kind: str) -> float:
@@ -234,7 +238,7 @@ def _symbol(domain: DomainSpec) -> np.ndarray:
     with n nodes and spacing h gives 4/h^2 sin^2(k pi / 2(n+1)), axes add."""
     lams = [4.0 / (h * h) * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
             for n, h in zip(domain.counts, domain.spacings)]
-    return lams[0] if domain.ndim == 1 else np.add.outer(*lams)
+    return functools.reduce(np.add.outer, lams)
 
 
 def _dst(a: np.ndarray) -> np.ndarray:

@@ -7,19 +7,19 @@ arclength.  A pure descent step would slide the maximum node off the ridge,
 so its step reflects the along-path component of the preconditioned
 direction (descend transversally, climb along the path), stays within the
 node's stretch of the path and is accepted on residual decrease, falling
-back to a plain Armijo descent step while the path is far from any saddle.  The maximum node is pinned during
-redistribution so it can converge in place.
+back to the descent's Armijo step while the path is far from any saddle.
+The maximum node is pinned during redistribution so it can converge in
+place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .analysis import Classification, CriticalPoint, morse_index
-from .descent import STEP_UNDERFLOW
+from .descent import DescentOptions, _armijo_step
 from .energy import EnergyModel
 from .grid import Field, h1_seminorm_sq_values
 from .nonlinearity import TruncationMode
@@ -31,24 +31,20 @@ class PathCollapseError(RuntimeError):
     separated by a barrier, so there is no pass between them."""
 
 
-@dataclass
-class MPOptions:
+@dataclass(kw_only=True)
+class MPOptions(DescentOptions):
+    """DescentOptions plus the path settings, with the same line search."""
+
     path_count: int = 21            # number of segments, nodes = path_count + 1
     max_iters: int = 20000
-    grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     perturbation: float = 0.1       # midpoint bump along phi_2, in units of delta
     collapse_tol: float = 1e-6
     restart_limit: int = 3
-    callback: Callable[[dict], None] | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.path_count < 8:
             raise ValueError("need at least 8 path segments")
-        if not (0.0 < self.armijo_c < 1.0 and 0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("line search constants must lie in (0, 1)")
 
 
 @dataclass
@@ -61,20 +57,15 @@ class PathState:
     max_index: int
 
 
-def _h1_dist(domain, a, b):
-    return np.sqrt(max(h1_seminorm_sq_values(domain, a - b), 0.0))
-
-
 def _redistribute(domain, nodes, pin):
     """Re-equidistribute by H1 arclength on each side of the pinned node."""
     out = nodes.copy()
     last = nodes.shape[0] - 1
+    seg = np.sqrt(h1_seminorm_sq_values(domain, np.diff(nodes, axis=0)))
     for lo, hi in ((0, pin), (pin, last)):
         if hi - lo < 2:
             continue
-        seg = np.array([_h1_dist(domain, nodes[j + 1], nodes[j])
-                        for j in range(lo, hi)])
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
+        cum = np.concatenate(([0.0], np.cumsum(seg[lo:hi])))
         total = cum[-1]
         if total <= 0.0:
             continue
@@ -132,13 +123,8 @@ def _descend_max_node(model, u, residual, opts, tangent):
             step *= opts.backtrack_factor
 
     slope = vol * float(np.dot(residual, direction))
-    step = opts.initial_step
-    while step >= STEP_UNDERFLOW:
-        if model.phi_increment(u, residual, step * direction) \
-                <= opts.armijo_c * step * slope:
-            return u + step * direction
-        step *= opts.backtrack_factor
-    return None
+    step, _ = _armijo_step(model, u, residual, direction, slope, opts)
+    return None if step is None else u + step * direction
 
 
 def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
@@ -158,11 +144,11 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
                            "state": PathState(nodes, energies, jmax)})
         if res_sup <= tol:
             return nodes[jmax], it, True
-        for endpoint in (nodes[0], nodes[last]):
-            if _h1_dist(spec, u, endpoint) < opts.collapse_tol:
-                raise PathCollapseError(
-                    "max-energy node collapsed onto an endpoint; the two "
-                    "minimizers are not separated")
+        if np.any(np.sqrt(h1_seminorm_sq_values(spec, u - nodes[[0, last]]))
+                  < opts.collapse_tol):
+            raise PathCollapseError(
+                "max-energy node collapsed onto an endpoint; the two "
+                "minimizers are not separated")
         if it == opts.max_iters:
             return nodes[jmax], it, False
         tangent = nodes[jmax + 1] - nodes[jmax - 1]

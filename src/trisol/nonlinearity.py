@@ -265,18 +265,13 @@ def preset_corollary(spec: DomainSpec, lambda_val: float,
     on sample points.  lambda_val must exceed the second eigenvalue of the
     domain and must not collide with any eigenvalue (within 1e-9).
     """
-    table = eigenvalue_table(spec, 2)
-    lam2 = table[1][0]
-    if lambda_val < lam2:
+    k = sandwich_index(spec, lambda_val)
+    table = eigenvalue_table(spec, k + 1)
+    if k < 2:
         raise ValueError(
-            f"lambda = {lambda_val} must exceed the second eigenvalue {lam2:.6g}")
-    count = 8
-    while True:
-        tab = eigenvalue_table(spec, count)
-        if tab[-1][0] > lambda_val + 1.0:
-            break
-        count *= 2
-    for lam_n, mode in tab:
+            f"lambda = {lambda_val} must exceed the second eigenvalue {table[1][0]:.6g}")
+    # an eigenvalue within tolerance of lambda is at most lambda_{k+1}
+    for lam_n, mode in table:
         if abs(lambda_val - lam_n) <= 1e-9 * max(1.0, lam_n):
             raise ValueError(
                 f"eigenvalue collision: lambda = {lambda_val} matches the "
@@ -304,9 +299,7 @@ def preset_corollary(spec: DomainSpec, lambda_val: float,
     a_plus = find_root(+1.0)
     a_minus = find_root(-1.0)
 
-    k = sandwich_index(spec, lambda_val)
-    lam_k = eigenvalue_table(spec, k)[-1][0]
-    lam_k1 = eigenvalue_table(spec, k + 1)[-1][0]
+    lam_k, lam_k1 = table[k - 1][0], table[k][0]
 
     def sandwich_holds(delta):
         ts = np.linspace(-delta, delta, 257)

@@ -6,6 +6,8 @@ are ordered by their mode tuple so the listing is deterministic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,32 +35,16 @@ def eigenvalue_table(spec: DomainSpec, count: int) -> list[tuple[float, tuple[in
     """The count smallest (eigenvalue, mode) pairs, sorted with multiplicity."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if spec.ndim == 1:
-        (L,) = spec.lengths
-        table = [((m * math.pi / L) ** 2, (m,)) for m in range(1, count + 1)]
-    else:
-        a, b = spec.lengths
-        # the count smallest modes have both indices <= count
-        table = [
-            ((m * math.pi / a) ** 2 + (n * math.pi / b) ** 2, (m, n))
-            for m in range(1, count + 1)
-            for n in range(1, count + 1)
-        ]
+    # the count smallest modes have every index <= count
+    table = [(sum((m * math.pi / L) ** 2 for m, L in zip(mode, spec.lengths)), mode)
+             for mode in itertools.product(range(1, count + 1), repeat=spec.ndim)]
     table.sort(key=lambda t: (t[0], t[1]))
     return table[:count]
 
 
 def _sample_mode(spec: DomainSpec, mode: tuple[int, ...]) -> Field:
-    axes = spec.axes()
-    if spec.ndim == 1:
-        (m,) = mode
-        (L,) = spec.lengths
-        vals = np.sin(m * np.pi * axes[0] / L)
-    else:
-        m, n = mode
-        a, b = spec.lengths
-        vals = np.outer(np.sin(m * np.pi * axes[0] / a),
-                        np.sin(n * np.pi * axes[1] / b)).ravel()
+    vals = functools.reduce(np.multiply.outer, [
+        np.sin(m * np.pi * x / L) for m, x, L in zip(mode, spec.axes(), spec.lengths)])
     phi = Field(spec, vals)
     return phi * (1.0 / quadrature(spec, phi, "l2_norm"))
 

@@ -58,6 +58,22 @@ def test_positivity_profile_first_eigenfunction():
     assert not flipped.strictly_positive_interior
 
 
+def test_positivity_profile_rectangle_faces():
+    # hx = 1/24 and hy = 1/6 differ, so each face must use its own spacing
+    spec = DomainSpec.rectangle(1.0, 2.0, 23, 11)
+    hx, hy = spec.spacings
+    rng = np.random.default_rng(29)
+    for low in ((0, 5), (22, 5), (7, 0), (7, 10)):
+        values = rng.uniform(0.5, 2.0, spec.counts)
+        values[low] = 0.01
+        u = Field(spec, values.ravel())
+        faces = [values[0, :].min() / hx, values[-1, :].min() / hx,
+                 values[:, 0].min() / hy, values[:, -1].min() / hy]
+        profile = positivity_profile(u)
+        assert profile.strictly_positive_interior
+        assert profile.min_boundary_slope == min(faces)
+
+
 def test_positivity_profile_plus_minimizer(p1):
     profile = positivity_profile(p1["plus"].u)
     assert profile.strictly_positive_interior

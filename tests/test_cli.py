@@ -78,9 +78,18 @@ def test_field_csv_roundtrip_2d(tmp_path):
     u = Field(spec, rng.standard_normal(spec.size))
     path = tmp_path / "u.csv"
     write_field_csv(path, spec, u)
-    assert path.read_text().splitlines()[0] == "x,y,u"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,y,u"
+    assert len(lines) == 1 + 9 * 11  # header + the grid with its boundary
+    # one row per node, y varying fastest, 17 significant digits
+    i, j = 3, 4
+    x, y = spec.axes()[0][i], spec.axes()[1][j]
+    assert lines[1 + (i + 1) * 11 + (j + 1)] == f"{x:.17g},{y:.17g},{u.reshaped()[i, j]:.17g}"
     back = read_field_csv(path, spec)
     assert np.array_equal(back.values, u.values)
+    path.write_text("\n".join(lines[:-3]) + "\n")
+    with pytest.raises(ValueError, match="row count does not match the grid"):
+        read_field_csv(path, spec)
 
 
 def test_eigen_command_square(tmp_path, capsys):
@@ -165,6 +174,16 @@ def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys):
     cfg.write_text("preset = p1-interval\ngrid.n = 31\npoisson.tol = 1e-10\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "unknown key 'poisson.tol'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["descent.armijo_c = 2",
+                                  "mountainpass.path_count = 4",
+                                  "mountainpass.max_iters = -1"])
+def test_out_of_range_option_is_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def _optional_numpy_modules_after(argv, cwd):

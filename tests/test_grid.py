@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from trisol.grid import (DomainMismatchError, DomainSpec, Field,
-                         apply_neg_laplacian, inner_product, quadrature,
-                         solve_poisson)
+                         apply_neg_laplacian, h1_seminorm_sq_values,
+                         inner_product, quadrature, solve_poisson)
 
 
 def interval(n=31, length=1.0):
@@ -187,3 +187,28 @@ def test_poisson_discrete_maximum_principle():
         rhs = Field(spec, rng.uniform(0.1, 1.0, spec.size))
         w = solve_poisson(spec, rhs)
         assert np.min(w.values) >= 0.0
+
+
+def _h1_reference(spec, values):
+    """Squared differences of the zero-padded grid, summed per axis."""
+    v = np.pad(values.reshape(spec.counts), 1)
+    if spec.ndim == 1:
+        d = np.diff(v)
+        return np.sum(d * d) / spec.spacings[0]
+    hx, hy = spec.spacings
+    dx = np.diff(v, axis=0)[:, 1:-1]
+    dy = np.diff(v, axis=1)[1:-1, :]
+    return spec.cell_volume * (np.sum(dx * dx) / (hx * hx) + np.sum(dy * dy) / (hy * hy))
+
+
+@pytest.mark.parametrize("spec", [interval(31), DomainSpec.rectangle(1.0, 1.0, 15, 15),
+                                  DomainSpec.rectangle(1.0, 2.0, 23, 11)],
+                         ids=["interval31", "square15", "rect23x11"])
+def test_h1_stack_equals_rows_exactly(spec):
+    # bit-for-bit: the path search's energies and arclengths use the stack
+    rng = np.random.default_rng(19)
+    rows = rng.standard_normal((6, spec.size))
+    stacked = h1_seminorm_sq_values(spec, rows)
+    assert stacked.shape == (6,)
+    for row, value in zip(rows, stacked):
+        assert value == h1_seminorm_sq_values(spec, row) == _h1_reference(spec, row)

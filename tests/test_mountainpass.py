@@ -130,6 +130,15 @@ def test_iteration_cap_returns_data(solved):
     assert star.iterations == 2
 
 
-def test_path_count_floor():
-    with pytest.raises(ValueError):
-        MPOptions(path_count=4)
+def test_mp_options_validation():
+    # the path search shares the descent's checks on its line-search fields
+    for bad in ({"path_count": 4}, {"max_iters": 0}, {"grad_tol": 0},
+                {"initial_step": 0}, {"armijo_c": 1.0}):
+        with pytest.raises(ValueError):
+            MPOptions(**bad)
+    # keyword-only: inheritance reorders fields, so a positional value
+    # would land on a different field than it did before
+    with pytest.raises(TypeError):
+        MPOptions(21)
+    with pytest.raises(TypeError):
+        DescentOptions(10)

@@ -206,6 +206,13 @@ def test_preset_corollary_eigenvalue_collision(interval_spec):
                          lambda t: 3.0 * t**2)
 
 
+def test_preset_corollary_double_eigenvalue_collision():
+    # 5 pi^2 is the double eigenvalue of modes (1, 2) and (2, 1)
+    square = DomainSpec.rectangle(1.0, 1.0, 15, 15)
+    with pytest.raises(ValueError, match=r"collision.*\(1, 2\)"):
+        preset_corollary(square, 5 * np.pi**2, lambda t: t**3, lambda t: 3.0 * t**2)
+
+
 def test_preset_corollary_lambda_too_small(interval_spec):
     with pytest.raises(ValueError, match="second eigenvalue"):
         preset_corollary(interval_spec, 20.0, lambda t: t**3, lambda t: 3.0 * t**2)
