@@ -15,17 +15,17 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import EnergyModel
-from .grid import DomainSpec, Field, neg_laplacian_values, solve_shifted_values
+from .grid import DomainSpec, Field, _symbol, neg_laplacian_values, solve_shifted_values
 from .nonlinearity import ConditionGReport, TruncationMode
 from .spectrum import sandwich_index
 
 _WEYL_STEP = 0.5 * (5.0 ** 0.5 - 1.0)  # golden-ratio conjugate
-_EIG_RESTARTS = 400
+_EIG_ITERS = 400
 _MAX_EIGS = 40
 
 
 class EigenIterationError(RuntimeError):
-    """Inverse iteration failed to converge an eigenpair."""
+    """The block eigensolver failed to converge an eigenpair."""
 
 
 class Classification(str, enum.Enum):
@@ -101,72 +101,57 @@ def positivity_profile(u: Field) -> PositivityProfile:
                              min_boundary_slope=slope)
 
 
-def _cg_solve(apply_op, precondition, b, tol_rel):
-    """Preconditioned CG for an SPD operator, relative l2 residual stopping rule."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = precondition(r)
-    rz = float(np.dot(r, p))
-    b_norm = float(np.linalg.norm(b))
-    for _ in range(20 * b.size):
-        if np.linalg.norm(r) <= tol_rel * b_norm:
-            break
-        Ap = apply_op(p)
-        alpha = rz / float(np.dot(p, Ap))
-        x += alpha * p
-        r -= alpha * Ap
-        z = precondition(r)
-        rz, rz_old = float(np.dot(r, z)), rz
-        p = z + (rz / rz_old) * p
-    return x
-
-
 def _smallest_eigenvalues(model: EnergyModel, u_values: np.ndarray,
                           num_eigs: int) -> list[float]:
     """num_eigs smallest eigenvalues of v -> -lap v - g'(u) v.
 
-    Shifted inverse iteration run on a block: the shift
-    -(sup g' over the root interval) - 1 makes the shifted operator -lap + d,
-    d = -g'(u) - shift >= 1, positive definite, so each inverse apply is a
-    CG solve preconditioned by the direct solve of -lap + mean(d), which is
-    exact where g' is constant, as at the origin.  The block is iterated
-    simultaneously with Rayleigh-Ritz extraction (the orthonormalization
-    doubles as deflation), which keeps clustered eigenvalues converging at
-    the subspace ratio rather than the pairwise one.  The start block is a
-    Weyl sequence: deterministic, with no symmetry that the iteration could
-    preserve and so hide an eigenvector class from.
+    Where g'(u) is constant, as at the origin, they are the stencil symbol
+    minus that constant.  Otherwise block LOBPCG (Knyazev 2001) on a stack of
+    rows: each step applies the operator once, to an orthonormal basis of the
+    Ritz block, its preconditioned residuals and the last search directions,
+    and takes the next block by Rayleigh-Ritz.  The preconditioner, the
+    direct solve of -lap + mean(d) with d = -g'(u) + sup g' + 1 >= 1 (sup over
+    the root interval), is SPD.  Three guard vectors past num_eigs keep
+    clustered eigenvalues converging, and the start block is a Weyl sequence:
+    deterministic, with no symmetry that the iteration could preserve and so
+    hide an eigenvector class from.
     """
     spec = model.domain
-    weight = model.nl.gprime(u_values)
-    shift = -model.nl.gprime_max - 1.0
-
-    def apply_lin(v):
-        return neg_laplacian_values(spec, v) - weight * v
-
-    def apply_shifted(v):
-        return apply_lin(v) - shift * v
-
-    mean_diag = float(np.mean(-weight - shift))
+    weight = np.broadcast_to(model.nl.gprime(u_values), u_values.shape)
+    if np.all(weight == weight[0]):
+        return [float(t) for t in np.sort((_symbol(spec) - weight[0]).ravel())[:num_eigs]]
+    mean_diag = float(np.mean(-weight + model.nl.gprime_max + 1.0))
     n = spec.size
     block = min(num_eigs + 3, n)
     start = (np.arange(1, n * block + 1) * _WEYL_STEP) % 1.0 - 0.5
-    basis, _ = np.linalg.qr(start.reshape(n, block))
-    for _ in range(_EIG_RESTARTS):
-        for j in range(block):
-            basis[:, j] = _cg_solve(
-                apply_shifted, lambda r: solve_shifted_values(spec, r, mean_diag),
-                basis[:, j], 1e-12)
-        basis, _ = np.linalg.qr(basis)
-        images = np.column_stack([apply_lin(basis[:, j]) for j in range(block)])
-        projected = basis.T @ images
+    basis = np.linalg.qr(start.reshape(n, block))[0].T
+    for _ in range(_EIG_ITERS):
+        images = neg_laplacian_values(spec, basis)
+        images -= weight * basis
+        projected = basis @ images.T
         theta, rotation = np.linalg.eigh(0.5 * (projected + projected.T))
-        basis = basis @ rotation
-        images = images @ rotation
-        residuals = np.linalg.norm(images - basis * theta[None, :], axis=0)
-        if np.all(residuals[:num_eigs] <= 1e-9 * np.maximum(1.0, np.abs(theta[:num_eigs]))):
+        theta, rotation = theta[:block], rotation[:, :block].T
+        ritz = rotation @ basis
+        residuals = rotation @ images - theta[:, None] * ritz
+        norms = np.linalg.norm(residuals[:num_eigs], axis=1)
+        if np.all(norms <= 1e-9 * np.maximum(1.0, np.abs(theta[:num_eigs]))):
             return [float(t) for t in theta[:num_eigs]]
+        # the basis starts with the old Ritz block, so its other rows carry
+        # the part of the new block orthogonal to the old one
+        directions = [rotation[:, block:] @ basis[block:]] if len(basis) > block else []
+        del basis, images  # the largest arrays: free them before the solve and QR
+        rows = [ritz, solve_shifted_values(spec, residuals, mean_diag)] + directions
+        basis = np.linalg.qr(np.vstack(rows).T)[0].T
     raise EigenIterationError(
-        f"subspace inverse iteration did not converge {num_eigs} eigenvalues")
+        f"block LOBPCG did not converge {num_eigs} eigenvalues in {_EIG_ITERS} steps")
+
+
+def check_morse_window(num_eigs: int | None, tol: float | None) -> None:
+    """Reject num_eigs < 1 and a tol that is not finite and positive (None: default)."""
+    if num_eigs is not None and num_eigs < 1:
+        raise ValueError(f"num_eigs must be at least 1, got {num_eigs}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def morse_index(model: EnergyModel, u: Field, num_eigs: int,
@@ -178,9 +163,10 @@ def morse_index(model: EnergyModel, u: Field, num_eigs: int,
     computed eigenvalue is negative the window is widened so no negative
     eigenvalue can hide beyond it.
     """
+    check_morse_window(num_eigs, tol)
     if tol is None:
         tol = 1e-6 * model.nl.scale
-    num_eigs = max(int(num_eigs), 1)
+    num_eigs = int(num_eigs)
     while True:
         eigenvalues = _smallest_eigenvalues(model, u.values, num_eigs)
         if eigenvalues[-1] >= -tol or num_eigs >= min(_MAX_EIGS, model.domain.size):

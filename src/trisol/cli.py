@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import SolveReport
+from .analysis import SolveReport, check_morse_window
 from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions, PathCollapseError
@@ -141,6 +141,10 @@ class RunConfig:
             settings["grid.ny"] = n
         if out is not None:
             settings["output.dir"] = out
+        try:
+            check_morse_window(settings.get("morse.num_eigs"), settings.get("morse.tol"))
+        except ValueError as exc:
+            raise ConfigError(f"morse options: {exc}") from exc
         return cls(settings=settings, preset=preset_name,
                    out_requested=out is not None or "output.dir" in file_entries)
 
@@ -196,15 +200,19 @@ def _csv_header(spec: DomainSpec) -> list[str]:
     return ["x", "y"][:spec.ndim] + ["u"]
 
 
+def _csv_nodes(spec: DomainSpec):
+    """Node coordinates, boundary nodes included, last axis varying fastest."""
+    return itertools.product(*(np.concatenate(([0.0], axis, [L]))
+                               for axis, L in zip(spec.axes(), spec.lengths)))
+
+
 def write_field_csv(path: Path, spec: DomainSpec, u: Field) -> None:
     """Write a field with boundary rows included and u = 0 there, one row
     per node with the last axis varying fastest."""
-    edges = [np.concatenate(([0.0], axis, [L]))
-             for axis, L in zip(spec.axes(), spec.lengths)]
     row = "%.17g," * spec.ndim + "%.17g\n"
     with open(path, "w") as fh:
         fh.write(",".join(_csv_header(spec)) + "\n")
-        for point, val in zip(itertools.product(*edges), np.pad(u.reshaped(), 1).ravel()):
+        for point, val in zip(_csv_nodes(spec), np.pad(u.reshaped(), 1).ravel()):
             fh.write(row % (*point, val))
 
 
@@ -218,6 +226,9 @@ def read_field_csv(path: Path, spec: DomainSpec) -> Field:
     shape = tuple(n + 2 for n in spec.counts)
     if len(data) != np.prod(shape):
         raise ValueError("row count does not match the grid")
+    if np.any(np.abs(data[:, :-1] - np.array(list(_csv_nodes(spec))))
+              > 1e-12 * np.array(spec.lengths)):
+        raise ValueError("node coordinates do not match the grid")
     return Field(spec, data[:, -1].reshape(shape)[(slice(1, -1),) * spec.ndim])
 
 

@@ -154,19 +154,21 @@ def neg_laplacian_values(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
     """Stencil application on a raw interior-value array.
 
     Per axis (2 u_i - u_{i-1} - u_{i+1}) / h^2, with the missing neighbors
-    of boundary-adjacent nodes taken as the zero Dirichlet data.
+    of boundary-adjacent nodes taken as the zero Dirichlet data.  values is
+    one field (size,) or a stack (m, size); the result has the same shape.
     """
-    v = values.reshape(domain.counts)
+    stack = values.shape[:-1]
+    v = values.reshape(stack + domain.counts)
     out = None
-    for axis, h in enumerate(domain.spacings):
+    for axis, h in enumerate(domain.spacings, start=len(stack)):
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
         term = 2.0 * v
         term[hi] -= v[lo]
         term[lo] -= v[hi]
         term /= h * h
-        out = term if out is None else out + term
-    return out.ravel()
+        out = term if out is None else np.add(out, term, out=out)
+    return out.reshape(values.shape)
 
 
 def apply_neg_laplacian(domain: DomainSpec, u: Field) -> Field:
@@ -241,19 +243,19 @@ def _symbol(domain: DomainSpec) -> np.ndarray:
     return functools.reduce(np.add.outer, lams)
 
 
-def _dst(a: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I over every axis, X_k = sum_j a_j sin(pi j k / (n+1)).
+def _dst(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Unnormalized DST-I over the last ndim axes, X_k = sum_j a_j sin(pi j k / (n+1)).
 
     Each pass is the real FFT of the odd extension [0, a, 0, -reversed a]
-    along the last axis, then a transpose so the next pass takes the other
-    axis.  Applying it twice multiplies by (n+1)/2 per axis.
+    along the last axis, then a rotation of those axes so the next pass
+    takes the next one.  Applying it twice multiplies by (n+1)/2 per axis.
     """
-    for _ in range(a.ndim):
+    for _ in range(ndim):
         n = a.shape[-1]
         ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
         ext[..., 1:n + 1] = a
         ext[..., n + 2:] = -a[..., ::-1]
-        a = (-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag).T
+        a = np.moveaxis(-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag, -1, -ndim)
     return a
 
 
@@ -261,12 +263,13 @@ def solve_shifted_values(domain: DomainSpec, rhs: np.ndarray, shift: float) -> n
     """Direct solve of (-lap + shift) w = rhs on raw arrays.
 
     A sine transform, a division by the shifted symbol (which shift must
-    keep positive), and the inverse transform.
+    keep positive), and the inverse transform.  rhs is one field (size,) or
+    a stack (m, size), solved row by row with the same arithmetic.
     """
     scale = math.prod(2.0 / (n + 1) for n in domain.counts)
-    coeffs = _dst(rhs.reshape(domain.counts))
+    coeffs = _dst(rhs.reshape(rhs.shape[:-1] + domain.counts), domain.ndim)
     coeffs *= scale / (_symbol(domain) + shift)
-    return _dst(coeffs).ravel()
+    return _dst(coeffs, domain.ndim).reshape(rhs.shape)
 
 
 def solve_poisson_values(domain: DomainSpec, rhs: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from trisol.analysis import (Classification, CriticalPoint, assemble_report,
+from trisol import analysis
+from trisol.analysis import (Classification, CriticalPoint, EigenIterationError,
+                             _smallest_eigenvalues, assemble_report,
                              check_bounds, morse_index, positivity_profile)
 from trisol.energy import EnergyModel
 from trisol.grid import DomainSpec, Field, neg_laplacian_values
@@ -174,6 +176,89 @@ def test_square_morse_matches_sparse_oracle():
                                   sigma=-nl.gprime_max - 1.0, which="LM",
                                   return_eigenvectors=False))
     assert np.allclose(result.eigenvalues, expected, rtol=1e-8, atol=1e-7)
+
+
+def test_square_morse_iteration_matches_sparse_oracle():
+    # the origin takes the closed form, so check the iterative path on a
+    # field with the square's symmetry, whose double eigenvalues stay double
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    n = 31
+    spec = DomainSpec.rectangle(1.0, 1.0, n, n)
+    nl = cubic_nonlinearity(spec)
+    full = EnergyModel(spec, nl, TruncationMode.FULL)
+    u = eigenpairs(spec, 1)[0].phi * 4.0
+    result = morse_index(full, u, 6)
+    (hx, hy) = spec.spacings
+    T = sp.diags([2 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1])
+    A = sp.kron(T / hx**2, sp.identity(n)) + sp.kron(sp.identity(n), T / hy**2)
+    L = (A - sp.diags(nl.gprime(u.values))).tocsc()
+    expected = np.sort(spla.eigsh(L, k=len(result.eigenvalues),
+                                  sigma=-nl.gprime_max - 1.0, which="LM",
+                                  return_eigenvectors=False))
+    assert np.allclose(result.eigenvalues, expected, rtol=1e-8, atol=1e-7)
+    assert np.isclose(expected[1], expected[2], rtol=1e-10)  # a double pair
+
+
+_SMALL_GRIDS = {"interval3": DomainSpec.interval(1.0, 3),
+                "interval5": DomainSpec.interval(1.0, 5),
+                "square3": DomainSpec.rectangle(1.0, 1.0, 3, 3),
+                "square5": DomainSpec.rectangle(1.0, 1.0, 5, 5)}
+
+
+@pytest.mark.parametrize("field", ["random", "constant"])
+@pytest.mark.parametrize("window", [1, 4, "widest"])
+@pytest.mark.parametrize("grid", sorted(_SMALL_GRIDS))
+def test_morse_eigenvalues_on_small_grids_match_dense(grid, window, field):
+    # blocks as large as the grid, and windows past it, on both the
+    # iterative path and the closed form at constant g'
+    spec = _SMALL_GRIDS[grid]
+    nl = cubic_nonlinearity(spec)
+    model = EnergyModel(spec, nl, TruncationMode.FULL)
+    num_eigs = min(40, spec.size) if window == "widest" else window
+    if field == "random":
+        values = np.random.default_rng(29).uniform(nl.a_minus, nl.a_plus, spec.size)
+    else:
+        values = np.full(spec.size, 1e-7)
+    got = np.array(_smallest_eigenvalues(model, values, num_eigs))
+    expected = _dense_eigenvalues(spec, nl, values, num_eigs)
+    assert len(got) == min(num_eigs, spec.size)
+    # the stopping rule bounds each residual, and so each eigenvalue error
+    assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_morse_iteration_cap_raises(p1, monkeypatch):
+    monkeypatch.setattr(analysis, "_EIG_ITERS", 1)
+    model = p1["models"][TruncationMode.FULL]
+    with pytest.raises(EigenIterationError):
+        morse_index(model, p1["star"].u, p1["nl"].k + 2)
+
+
+def test_morse_work_count(p1, monkeypatch):
+    # deterministic guard against per-column loops: one stencil apply per
+    # block step, none at the origin, where the spectrum is closed-form
+    calls = []
+    stencil = analysis.neg_laplacian_values
+    monkeypatch.setattr(analysis, "neg_laplacian_values",
+                        lambda spec, v: calls.append(v.shape) or stencil(spec, v))
+    model = p1["models"][TruncationMode.FULL]
+    zero = Field.zeros(p1["spec"])
+    for u in (zero, p1["minus"].u, p1["plus"].u, p1["star"].u):
+        calls.clear()
+        morse_index(model, u, p1["nl"].k + 2)
+        if u is zero:
+            assert calls == []
+        else:
+            assert 0 < len(calls) <= 40
+            assert all(len(shape) == 2 for shape in calls)
+
+
+@pytest.mark.parametrize("num_eigs, tol", [(4, -100.0), (4, 0.0), (4, float("nan")),
+                                           (4, float("inf")), (0, None), (-5, None)])
+def test_morse_index_rejects_bad_window(p1, num_eigs, tol):
+    model = p1["models"][TruncationMode.FULL]
+    with pytest.raises(ValueError):
+        morse_index(model, Field.zeros(p1["spec"]), num_eigs, tol)
 
 
 def test_assemble_report_p1(p1_report):

@@ -87,6 +87,9 @@ def test_field_csv_roundtrip_2d(tmp_path):
     assert lines[1 + (i + 1) * 11 + (j + 1)] == f"{x:.17g},{y:.17g},{u.reshaped()[i, j]:.17g}"
     back = read_field_csv(path, spec)
     assert np.array_equal(back.values, u.values)
+    # same node counts, other side lengths: the x/y columns do not match
+    with pytest.raises(ValueError, match="node coordinates do not match the grid"):
+        read_field_csv(path, DomainSpec.rectangle(3.0, 0.5, 7, 9))
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError, match="row count does not match the grid"):
         read_field_csv(path, spec)
@@ -178,12 +181,15 @@ def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["descent.armijo_c = 2",
                                   "mountainpass.path_count = 4",
-                                  "mountainpass.max_iters = -1"])
+                                  "mountainpass.max_iters = -1",
+                                  "morse.tol = -100", "morse.tol = 0",
+                                  "morse.num_eigs = 0"])
 def test_out_of_range_option_is_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # and nothing is written
 
 
 def _optional_numpy_modules_after(argv, cwd):

@@ -3,7 +3,8 @@ import pytest
 
 from trisol.grid import (DomainMismatchError, DomainSpec, Field,
                          apply_neg_laplacian, h1_seminorm_sq_values,
-                         inner_product, quadrature, solve_poisson)
+                         inner_product, neg_laplacian_values, quadrature,
+                         solve_poisson, solve_shifted_values)
 
 
 def interval(n=31, length=1.0):
@@ -212,3 +213,43 @@ def test_h1_stack_equals_rows_exactly(spec):
     assert stacked.shape == (6,)
     for row, value in zip(rows, stacked):
         assert value == h1_seminorm_sq_values(spec, row) == _h1_reference(spec, row)
+
+
+def _shifted_reference(spec, rhs, shift):
+    """One field's shifted solve as the descent and path search have always
+    done it: DST-I along the last axis, then a transpose, per pass."""
+    def dst(a):
+        for _ in range(a.ndim):
+            n = a.shape[-1]
+            ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+            ext[..., 1:n + 1] = a
+            ext[..., n + 2:] = -a[..., ::-1]
+            a = (-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag).T
+        return a
+    lams = [4.0 / (h * h) * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+            for n, h in zip(spec.counts, spec.spacings)]
+    symbol = sum(np.meshgrid(*lams, indexing="ij"))
+    coeffs = dst(rhs.reshape(spec.counts))
+    coeffs *= np.prod([2.0 / (n + 1) for n in spec.counts]) / (symbol + shift)
+    return dst(coeffs).ravel()
+
+
+@pytest.mark.parametrize("spec", [interval(31), DomainSpec.rectangle(1.0, 1.0, 15, 15),
+                                  DomainSpec.rectangle(1.0, 2.0, 23, 11)],
+                         ids=["interval31", "square15", "rect23x11"])
+def test_operator_stack_equals_rows_exactly(spec):
+    # bit-for-bit: the Morse eigensolver applies both to a stack of rows,
+    # while the descent and path search apply them to one field at a time
+    rng = np.random.default_rng(23)
+    rows = rng.standard_normal((5, spec.size))
+    stencil = neg_laplacian_values(spec, rows)
+    assert stencil.shape == rows.shape
+    for row, image in zip(rows, stencil):
+        assert np.array_equal(image, neg_laplacian_values(spec, row))
+    for shift in (0.0, 3.5):
+        solved = solve_shifted_values(spec, rows, shift)
+        assert solved.shape == rows.shape
+        for row, image in zip(rows, solved):
+            single = solve_shifted_values(spec, row, shift)
+            assert np.array_equal(image, single)
+            assert np.array_equal(single, _shifted_reference(spec, row, shift))
