@@ -9,7 +9,9 @@ of the multiplicity argument.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -17,11 +19,14 @@ import numpy as np
 from .energy import EnergyModel
 from .grid import DomainSpec, Field, _symbol, neg_laplacian_values, solve_shifted_values
 from .nonlinearity import ConditionGReport, TruncationMode
-from .spectrum import sandwich_index
 
 _WEYL_STEP = 0.5 * (5.0 ** 0.5 - 1.0)  # golden-ratio conjugate
 _EIG_ITERS = 400
 _MAX_EIGS = 40
+_BOUNDS_TOL = 1e-9         # slack on [a-, a+]
+_DISTINCT_TOL = 1e-3       # least sup distance between points, times the amplitude
+_NONTRIVIAL_TOL = 1e-3     # least sup norm of a nontrivial point
+_CLASSICAL_TOL = 1e-12     # sup gap between the original and the truncated residual
 
 
 class EigenIterationError(RuntimeError):
@@ -76,10 +81,7 @@ def check_bounds(u: Field, a_minus: float, a_plus: float, tol: float) -> BoundsC
     """True iff every node value lies in [a_minus - tol, a_plus + tol]."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    vals = u.values
-    over = vals - a_plus
-    under = a_minus - vals
-    viol = np.maximum(over, under)
+    viol = np.maximum(u.values - a_plus, a_minus - u.values)
     worst = float(np.max(viol))
     if worst <= tol:
         return BoundsCheck(ok=True, worst_violation=max(worst, 0.0), node_index=None)
@@ -206,20 +208,9 @@ class SolveReport:
         return {
             "preset": self.preset,
             "grid": self.domain.describe(),
-            "condition_g": self.condition_g.to_dict(),
-            "points": [
-                {
-                    "classification": p.classification.value,
-                    "energy": p.energy,
-                    "residual": p.residual,
-                    "converged": p.converged,
-                    "iterations": p.iterations,
-                    "morse_index": p.morse_index,
-                    "morse_degenerate": p.morse_degenerate,
-                    "bounds_ok": p.bounds_ok,
-                }
-                for p in self.points
-            ],
+            "condition_g": dataclasses.asdict(self.condition_g),
+            "points": [{f.name: getattr(p, f.name) for f in dataclasses.fields(p)
+                        if f.name != "u"} for p in self.points],
             "flags": dict(self.flags),
             "morse_comparison": self.morse_comparison,
             "notes": list(self.notes),
@@ -229,19 +220,16 @@ class SolveReport:
 def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
                     minus: CriticalPoint, plus: CriticalPoint,
                     star: CriticalPoint, *,
-                    bounds_tol: float = 1e-9,
-                    distinct_tol: float = 1e-3,
-                    nontrivial_tol: float = 1e-3,
-                    classical_tol: float = 1e-12,
                     morse_num_eigs: int | None = None,
                     morse_tol: float | None = None,
                     preset: str | None = None) -> SolveReport:
     """Run every check on the three candidates plus the zero solution.
 
     Distinctness asks all pairwise sup distances among the four points to
-    exceed distinct_tol times the largest amplitude; the Morse comparison
-    asks index(star) != index(0) and is refused when k < 2 and marked
-    inconclusive when either index is degenerate.
+    exceed 1e-3 times the largest amplitude; the Morse comparison asks
+    index(star) != index(0) and is refused when k < 2 and marked
+    inconclusive when either index is degenerate.  That the index at zero
+    matches the claimed k is condition_g's check, not repeated here.
     """
     if model.mode is not TruncationMode.FULL:
         raise ValueError("reports are assembled on the full-truncation model")
@@ -266,7 +254,7 @@ def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
     bounds_ok = True
     classical_ok = True
     for point in (minus, plus, star):
-        bc = check_bounds(point.u, nl.a_minus, nl.a_plus, bounds_tol)
+        bc = check_bounds(point.u, nl.a_minus, nl.a_plus, _BOUNDS_TOL)
         point.bounds_ok = bc.ok
         bounds_ok &= bc.ok
         if not bc.ok:
@@ -277,26 +265,21 @@ def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
         # residual of the original equation coincides with the solved one
         plain = neg_laplacian_values(spec, point.u.values) - nl.g(point.u.values)
         solved = model.residual_values(point.u.values)
-        classical_ok &= bool(np.max(np.abs(plain - solved)) <= classical_tol)
+        classical_ok &= bool(np.max(np.abs(plain - solved)) <= _CLASSICAL_TOL)
     flags["bounds"] = bool(bounds_ok)
     flags["classical_equivalence"] = bool(classical_ok)
 
-    pos = positivity_profile(plus.u)
-    neg = positivity_profile(-minus.u)
-    flags["positivity"] = bool(
-        pos.strictly_positive_interior and pos.min_boundary_slope > 0.0
-        and neg.strictly_positive_interior and neg.min_boundary_slope > 0.0)
+    flags["positivity"] = all(
+        p.strictly_positive_interior and p.min_boundary_slope > 0.0
+        for p in (positivity_profile(plus.u), positivity_profile(-minus.u)))
 
     fields = [trivial.u.values, minus.u.values, plus.u.values, star.u.values]
     amplitude = max(float(np.max(np.abs(v))) for v in fields)
-    distinct = True
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            if np.max(np.abs(fields[i] - fields[j])) <= distinct_tol * amplitude:
-                distinct = False
-    flags["distinctness"] = bool(distinct)
+    flags["distinctness"] = not any(
+        np.max(np.abs(a - b)) <= _DISTINCT_TOL * amplitude
+        for a, b in itertools.combinations(fields, 2))
     flags["nontriviality"] = bool(all(
-        np.max(np.abs(p.u.values)) > nontrivial_tol for p in (minus, plus, star)))
+        np.max(np.abs(p.u.values)) > _NONTRIVIAL_TOL for p in (minus, plus, star)))
 
     if nl.k < 2:
         morse_comparison = "refused"
@@ -310,15 +293,6 @@ def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
     else:
         morse_comparison = "failed"
     flags["morse_comparison"] = morse_comparison == "ok"
-
-    try:
-        k_spectral = sandwich_index(spec, float(nl.gprime(np.asarray(0.0))))
-    except ValueError:
-        k_spectral = None
-    if k_spectral is not None and trivial.morse_index != k_spectral:
-        notes.append(
-            f"index at zero = {trivial.morse_index} differs from the "
-            f"eigenvalue count {k_spectral}; grid may be too coarse")
 
     return SolveReport(domain=spec, condition_g=condition_g, trivial=trivial,
                        minus=minus, plus=plus, star=star, flags=flags,

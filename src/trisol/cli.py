@@ -9,6 +9,7 @@ included and 17 significant digits so values round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import itertools
 import json
@@ -24,7 +25,7 @@ from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions, PathCollapseError
 from .nonlinearity import Nonlinearity, validate_condition_g
-from .oracle import find_branch, sign_change_brackets, sweep
+from .oracle import RK4_STEPS, find_branch, sign_change_brackets, sweep
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
 from .spectrum import eigenpairs
@@ -68,25 +69,28 @@ _SCHEMA: dict[str, type] = {
     "output.dir": str,
 }
 
+# Defaults of the keys only the CLI reads; the domain keys default to the
+# presets' domains, every other unset key to the parameter it sets.
 _DEFAULTS: dict = {
-    "domain.kind": "interval",
-    "domain.length": 1.0,
-    "domain.width": 1.0,
-    "domain.height": 1.0,
-    "grid.n": 127,
-    "grid.nx": 63,
-    "grid.ny": 63,
     "nonlinearity.name": "cubic",
-    "nonlinearity.lambda": 60.0,
-    "nonlinearity.delta": 1.0,
     "eigen.count": 8,
-    "validate.samples": 512,
-    "oracle.steps": 4096,
     "oracle.slope_min": -50.0,
     "oracle.slope_max": 50.0,
     "oracle.slope_step": 0.01,
     "output.dir": "out",
 }
+
+
+# per domain kind: the keys of its side lengths and of its node counts
+_DOMAIN_KEYS = {"interval": (("domain.length",), ("grid.n",)),
+                "rectangle": (("domain.width", "domain.height"), ("grid.nx", "grid.ny"))}
+
+
+def _domain_settings(spec: DomainSpec) -> dict:
+    kind = spec.describe()["kind"]
+    lengths, counts = _DOMAIN_KEYS[kind]
+    return {"domain.kind": kind, **dict(zip(lengths + counts, spec.lengths + spec.counts))}
+
 
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment."""
@@ -122,23 +126,19 @@ class RunConfig:
                 n: int | None, out: str | None) -> "RunConfig":
         file_entries = parse_config_file(config_path) if config_path else {}
         preset_name = preset or file_entries.get("preset")
-        settings = dict(_DEFAULTS)
+        # rectangle keys from p2, interval keys and the kind from p1
+        settings = {**_domain_settings(preset_domain("p2-square")),
+                    **_domain_settings(preset_domain("p1-interval")), **_DEFAULTS}
         if preset_name is not None:
             try:
-                spec = preset_domain(preset_name)
+                settings.update(_domain_settings(preset_domain(preset_name)))
             except KeyError as exc:
                 raise ConfigError(exc.args[0]) from exc
-            keys = (("domain.length", "grid.n") if spec.ndim == 1 else
-                    ("domain.width", "domain.height", "grid.nx", "grid.ny"))
-            settings["domain.kind"] = spec.describe()["kind"]
-            settings.update(zip(keys, spec.lengths + spec.counts))
         settings.update({k: v for k, v in file_entries.items() if k != "preset"})
         if n is not None:
             if n < 3:
                 raise ConfigError("--n must be at least 3")
-            settings["grid.n"] = n
-            settings["grid.nx"] = n
-            settings["grid.ny"] = n
+            settings.update(dict.fromkeys(("grid.n", "grid.nx", "grid.ny"), n))
         if out is not None:
             settings["output.dir"] = out
         try:
@@ -150,45 +150,37 @@ class RunConfig:
 
     def domain(self) -> DomainSpec:
         kind = self.settings["domain.kind"]
+        if kind not in _DOMAIN_KEYS:
+            raise ConfigError(f"domain.kind must be interval or rectangle, got {kind!r}")
+        lengths, counts = (tuple(self.settings[key] for key in keys)
+                           for keys in _DOMAIN_KEYS[kind])
         try:
-            if kind == "interval":
-                return DomainSpec.interval(self.settings["domain.length"],
-                                           self.settings["grid.n"])
-            if kind == "rectangle":
-                return DomainSpec.rectangle(self.settings["domain.width"],
-                                            self.settings["domain.height"],
-                                            self.settings["grid.nx"],
-                                            self.settings["grid.ny"])
+            return DomainSpec(lengths, counts)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        raise ConfigError(f"domain.kind must be interval or rectangle, got {kind!r}")
 
     def nonlinearity(self, spec: DomainSpec) -> Nonlinearity:
         name = self.settings["nonlinearity.name"]
         if name != "cubic":
             raise ConfigError(f"unknown nonlinearity preset {name!r}")
         try:
-            return cubic_nonlinearity(spec, self.settings["nonlinearity.lambda"],
-                                      self.settings["nonlinearity.delta"])
+            return cubic_nonlinearity(spec, **self.given(lam="nonlinearity.lambda",
+                                                         delta="nonlinearity.delta"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def _options(self, cls, prefix):
-        kwargs = {}
-        for name in cls.__dataclass_fields__:
-            key = f"{prefix}.{name}"
-            if key in self.settings:
-                kwargs[name] = self.settings[key]
+    def given(self, **keys: str) -> dict:
+        """Keyword arguments {name: settings[keys[name]]} for the keys that are set."""
+        return {name: self.settings[key] for name, key in keys.items()
+                if key in self.settings}
+
+    def options(self, cls, prefix):
+        """An options dataclass filled from the settings under prefix."""
         try:
-            return cls(**kwargs)
+            return cls(**self.given(**{name: f"{prefix}.{name}"
+                                       for name in cls.__dataclass_fields__}))
         except ValueError as exc:
             raise ConfigError(f"{prefix} options: {exc}") from exc
-
-    def descent_options(self) -> DescentOptions:
-        return self._options(DescentOptions, "descent")
-
-    def mp_options(self) -> MPOptions:
-        return self._options(MPOptions, "mountainpass")
 
     def output_dir(self) -> Path:
         return Path(self.settings["output.dir"])
@@ -235,11 +227,10 @@ def read_field_csv(path: Path, spec: DomainSpec) -> Field:
 _POINT_FILES = ("u_minus.csv", "u_plus.csv", "u_star.csv", "u_zero.csv")
 
 
-def report_to_json(report: SolveReport, files: list[str] | None = None) -> str:
+def report_to_json(report: SolveReport, files: list[str]) -> str:
     body = report.to_dict()
-    if files is not None:
-        for entry, name in zip(body["points"], files):
-            entry["file"] = name
+    for entry, name in zip(body["points"], files):
+        entry["file"] = name
     body["meta"] = {
         "tool": "trisol",
         "version": __version__,
@@ -255,12 +246,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     nl = cfg.nonlinearity(spec)
     report = run_pipeline(
         spec, nl,
-        descent_opts=cfg.descent_options(),
-        mp_opts=cfg.mp_options(),
-        validate_samples=cfg.settings["validate.samples"],
-        morse_num_eigs=cfg.settings.get("morse.num_eigs"),
-        morse_tol=cfg.settings.get("morse.tol"),
+        descent_opts=cfg.options(DescentOptions, "descent"),
+        mp_opts=cfg.options(MPOptions, "mountainpass"),
         preset=cfg.preset,
+        **cfg.given(validate_samples="validate.samples",
+                    morse_num_eigs="morse.num_eigs", morse_tol="morse.tol"),
     )
     out = cfg.output_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -291,8 +281,8 @@ def cmd_eigen(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     spec = cfg.domain()
     nl = cfg.nonlinearity(spec)
-    report = validate_condition_g(nl, spec, cfg.settings["validate.samples"])
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    report = validate_condition_g(nl, spec, **cfg.given(samples="validate.samples"))
+    text = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
     print(text)
     _maybe_write(cfg, "validate.json", text)
     return 0 if report.ok else 1
@@ -307,7 +297,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     lo = cfg.settings["oracle.slope_min"]
     hi = cfg.settings["oracle.slope_max"]
     step = cfg.settings["oracle.slope_step"]
-    steps = cfg.settings["oracle.steps"]
+    steps = cfg.settings.get("oracle.steps", RK4_STEPS)
     slopes = np.arange(lo, hi + 0.5 * step, step)
     endpoints, blown = sweep(nl, length, slopes, steps)
     brackets = sign_change_brackets(slopes, endpoints, blown)

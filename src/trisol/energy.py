@@ -30,9 +30,7 @@ class EnergyModel:
     # -- values-level API (arrays in, arrays/floats out) ------------------
 
     def phi_values(self, values: np.ndarray) -> float:
-        nonlin = np.sum(antiderivative(self.nl, self.mode, values))
-        return 0.5 * h1_seminorm_sq_values(self.domain, values) \
-            - self.domain.cell_volume * float(nonlin)
+        return self.phi_rows(values)[0]
 
     def phi_rows(self, rows: np.ndarray) -> np.ndarray:
         """phi of every row of a (m, size) matrix in one vectorized sweep."""

@@ -69,13 +69,12 @@ def _redistribute(domain, nodes, pin):
         total = cum[-1]
         if total <= 0.0:
             continue
-        targets = np.linspace(0.0, total, hi - lo + 1)
-        for jj in range(1, hi - lo):
-            k = int(np.searchsorted(cum, targets[jj], side="right")) - 1
-            k = min(max(k, 0), hi - lo - 1)
-            length = cum[k + 1] - cum[k]
-            theta = (targets[jj] - cum[k]) / length if length > 0 else 0.0
-            out[lo + jj] = nodes[lo + k] + theta * (nodes[lo + k + 1] - nodes[lo + k])
+        targets = np.linspace(0.0, total, hi - lo + 1)[1:-1]
+        k = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, hi - lo - 1)
+        length = cum[k + 1] - cum[k]
+        theta = np.divide(targets - cum[k], length, out=np.zeros_like(targets),
+                          where=length > 0)
+        out[lo + 1:hi] = nodes[lo + k] + theta[:, None] * (nodes[lo + k + 1] - nodes[lo + k])
     return out
 
 
@@ -155,7 +154,6 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
         moved = _descend_max_node(model, u, residual, opts, tangent)
         if moved is not None:
             nodes[jmax] = moved
-            energies[jmax] = model.phi_values(moved)
         nodes = _redistribute(spec, nodes, jmax)
         energies = model.phi_rows(nodes)
     return nodes[jmax], opts.max_iters, False

@@ -16,6 +16,8 @@ import numpy as np
 from .grid import DomainSpec
 from .nonlinearity import Nonlinearity
 
+RK4_STEPS = 4096  # default steps per trajectory
+
 
 @dataclass(eq=False)
 class ShotResult:
@@ -50,6 +52,8 @@ class ShotResult:
 def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
                steps: int, record: bool):
     """Integrate all slopes at once; returns (endpoints, blown, trajectory)."""
+    if steps < 1000:
+        raise ValueError("use at least 1000 RK4 steps")
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
     h = length / steps
     u = np.zeros_like(slopes)
@@ -82,8 +86,6 @@ def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
 
 def shoot(nl: Nonlinearity, length: float, slope: float, steps: int) -> ShotResult:
     """Integrate one trajectory with u(0) = 0 and u'(0) = slope."""
-    if steps < 1000:
-        raise ValueError("use at least 1000 RK4 steps")
     endpoints, blown, traj, dtraj = _rk4_sweep(
         nl, length, np.array([slope], dtype=float), steps, record=True)
     xs = np.linspace(0.0, length, steps + 1)
@@ -95,8 +97,6 @@ def shoot(nl: Nonlinearity, length: float, slope: float, steps: int) -> ShotResu
 def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
           steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint map over an array of slopes; returns (endpoints, blown_mask)."""
-    if steps < 1000:
-        raise ValueError("use at least 1000 RK4 steps")
     endpoints, blown, _, _ = _rk4_sweep(
         nl, length, np.asarray(slopes, dtype=float), steps, record=False)
     return endpoints, blown
@@ -123,7 +123,7 @@ def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
 
 
 def find_branch(nl: Nonlinearity, length: float,
-                bracket: tuple[float, float], steps: int = 4096) -> ShotResult:
+                bracket: tuple[float, float], steps: int = RK4_STEPS) -> ShotResult:
     """Bisect the endpoint map inside a sign-change bracket.
 
     Converges the slope until |endpoint| <= 1e-12 * max(1, amplitude); the

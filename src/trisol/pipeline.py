@@ -9,14 +9,15 @@ from .descent import DescentOptions, initial_guess, minimize
 from .energy import EnergyModel
 from .grid import DomainSpec
 from .mountainpass import MPOptions, find_mountain_pass
-from .nonlinearity import Nonlinearity, TruncationMode, validate_condition_g
+from .nonlinearity import (VALIDATE_SAMPLES, Nonlinearity, TruncationMode,
+                           validate_condition_g)
 from .spectrum import eigenpairs
 
 
 def run_pipeline(spec: DomainSpec, nl: Nonlinearity, *,
                  descent_opts: DescentOptions | None = None,
                  mp_opts: MPOptions | None = None,
-                 validate_samples: int = 512,
+                 validate_samples: int = VALIDATE_SAMPLES,
                  morse_num_eigs: int | None = None,
                  morse_tol: float | None = None,
                  preset: str | None = None) -> SolveReport:

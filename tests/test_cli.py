@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import trisol
-from trisol.cli import (ConfigError, RunConfig, main, parse_config_file,
-                        read_field_csv, write_field_csv)
+from trisol.cli import (_SCHEMA, ConfigError, RunConfig, main, parse_config_file,
+                        read_field_csv, report_to_json, write_field_csv)
+from trisol.descent import DescentOptions
 from trisol.grid import DomainSpec, Field
+from trisol.mountainpass import MPOptions
+from trisol.presets import cubic_nonlinearity
 
 
 def test_parse_config_file(tmp_path):
@@ -52,6 +55,93 @@ def test_resolution_order(tmp_path):
     # the --n flag overrides everything
     flagged = RunConfig.resolve(str(cfg), None, 15, None)
     assert flagged.domain().counts == (15, 15)
+
+
+@pytest.mark.parametrize("kind, lengths, counts", [
+    ("interval", (1.0,), (127,)),
+    ("rectangle", (1.0, 1.0), (63, 63)),
+])
+def test_defaults_without_preset(tmp_path, kind, lengths, counts):
+    # an interval defaults to p1's domain, a rectangle to p2's, and the
+    # cubic to cubic_nonlinearity's own lambda and delta
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"domain.kind = {kind}\n")
+    resolved = RunConfig.resolve(str(cfg), None, None, None)
+    spec = resolved.domain()
+    assert (spec.lengths, spec.counts) == (lengths, counts)
+    nl, default = resolved.nonlinearity(spec), cubic_nonlinearity(spec)
+    assert (nl.a_minus, nl.a_plus, nl.delta, nl.k) == (
+        default.a_minus, default.a_plus, default.delta, default.k)
+
+
+# one valid value per config key
+_VALID_SETTINGS = {
+    "preset": "p2-square",
+    "domain.kind": "rectangle",
+    "domain.length": "2.0",
+    "domain.width": "2.0",
+    "domain.height": "0.5",
+    "grid.n": "31",
+    "grid.nx": "15",
+    "grid.ny": "7",
+    "nonlinearity.name": "cubic",
+    "nonlinearity.lambda": "70",
+    "nonlinearity.delta": "0.5",
+    "descent.max_iters": "100",
+    "descent.grad_tol": "1e-7",
+    "descent.armijo_c": "0.01",
+    "descent.backtrack_factor": "0.25",
+    "descent.initial_step": "0.5",
+    "mountainpass.path_count": "31",
+    "mountainpass.max_iters": "500",
+    "mountainpass.grad_tol": "1e-7",
+    "mountainpass.perturbation": "0.2",
+    "mountainpass.collapse_tol": "1e-5",
+    "mountainpass.restart_limit": "2",
+    "morse.num_eigs": "6",
+    "morse.tol": "1e-5",
+    "validate.samples": "256",
+    "eigen.count": "4",
+    "oracle.steps": "2048",
+    "oracle.slope_min": "-10",
+    "oracle.slope_max": "10",
+    "oracle.slope_step": "0.5",
+    "output.dir": "elsewhere",
+}
+
+
+def test_valid_settings_cover_the_schema():
+    assert len(_SCHEMA) == 31
+    assert set(_VALID_SETTINGS) == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("key", sorted(_VALID_SETTINGS))
+def test_every_key_resolves(tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {_VALID_SETTINGS[key]}\n")
+    resolved = RunConfig.resolve(str(cfg), None, None, None)
+    value = _SCHEMA[key](_VALID_SETTINGS[key])
+    assert (resolved.preset if key == "preset" else resolved.settings[key]) == value
+    spec = resolved.domain()
+    resolved.nonlinearity(spec)
+    for cls, prefix in ((DescentOptions, "descent"), (MPOptions, "mountainpass")):
+        options = resolved.options(cls, prefix)
+        if key.startswith(prefix + "."):
+            assert getattr(options, key.split(".")[1]) == value
+
+
+def test_report_json_keys(p1_report):
+    files = ["u_minus.csv", "u_plus.csv", "u_star.csv", "u_zero.csv"]
+    body = json.loads(report_to_json(p1_report, files))
+    point_keys = {"classification", "energy", "residual", "converged", "iterations",
+                  "morse_index", "morse_degenerate", "bounds_ok"}
+    for entry, name in zip(body["points"], files):
+        assert set(entry) == point_keys | {"file"}
+        assert entry["file"] == name
+    assert [p["classification"] for p in body["points"]] == [
+        "NegativeMin", "PositiveMin", "MountainPass", "Trivial"]
+    assert set(body["condition_g"]) == {
+        "ok", "k_claimed", "k_computed", "lambda_k", "lambda_k1", "failures"}
 
 
 def test_unknown_preset_is_config_error():
@@ -124,6 +214,35 @@ def test_validate_command_fails_on_oversized_delta(tmp_path, capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["ok"] is False
     assert any(f["check"] == "sandwich_lower" for f in body["failures"])
+
+
+_STENCIL_INDEX_MISMATCH = ("domain.kind = interval\ngrid.n = 15\n"
+                           "nonlinearity.lambda = 87\nnonlinearity.delta = 0.3\n")
+
+
+def test_validate_command_fails_on_stencil_index_mismatch(tmp_path, capsys):
+    # continuum k = 2, but three stencil eigenvalues lie below g'(0) = 87
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_STENCIL_INDEX_MISMATCH)
+    assert main(["validate", "--config", str(cfg)]) == 1
+    body = json.loads(capsys.readouterr().out)
+    assert body["ok"] is False
+    assert (body["k_claimed"], body["k_computed"]) == (2, 3)
+    assert [f["check"] for f in body["failures"]] == ["index"]
+    assert set(body["failures"][0]) == {"check", "detail", "witness"}
+
+
+def test_solve_command_fails_on_stencil_index_mismatch(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_STENCIL_INDEX_MISMATCH)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["flags"]["condition_g"] is False
+    assert (report["condition_g"]["k_claimed"],
+            report["condition_g"]["k_computed"]) == (2, 3)
+    assert [f["check"] for f in report["condition_g"]["failures"]] == ["index"]
+    assert report["points"][3]["morse_index"] == 3
 
 
 def test_missing_config_file_is_exit_2(capsys):

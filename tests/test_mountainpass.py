@@ -1,11 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from trisol.analysis import Classification
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
-from trisol.grid import DomainSpec
-from trisol.mountainpass import MPOptions, PathCollapseError, find_mountain_pass
+from trisol.grid import DomainSpec, h1_seminorm_sq_values
+from trisol.mountainpass import (MPOptions, PathCollapseError, _redistribute,
+                                 find_mountain_pass)
 from trisol.nonlinearity import TruncationMode
 from trisol.presets import cubic_nonlinearity
 from trisol.spectrum import eigenpairs
@@ -142,3 +145,65 @@ def test_mp_options_validation():
         MPOptions(21)
     with pytest.raises(TypeError):
         DescentOptions(10)
+
+
+def _redistribute_node_by_node(domain, nodes, pin):
+    """The per-node loop that _redistribute vectorizes, kept as a reference."""
+    out = nodes.copy()
+    last = nodes.shape[0] - 1
+    seg = np.sqrt(h1_seminorm_sq_values(domain, np.diff(nodes, axis=0)))
+    for lo, hi in ((0, pin), (pin, last)):
+        if hi - lo < 2:
+            continue
+        cum = np.concatenate(([0.0], np.cumsum(seg[lo:hi])))
+        total = cum[-1]
+        if total <= 0.0:
+            continue
+        targets = np.linspace(0.0, total, hi - lo + 1)
+        for jj in range(1, hi - lo):
+            k = int(np.searchsorted(cum, targets[jj], side="right")) - 1
+            k = min(max(k, 0), hi - lo - 1)
+            length = cum[k + 1] - cum[k]
+            theta = (targets[jj] - cum[k]) / length if length > 0 else 0.0
+            out[lo + jj] = nodes[lo + k] + theta * (nodes[lo + k + 1] - nodes[lo + k])
+    return out
+
+
+@pytest.mark.parametrize("pin", [1, 11, 20])
+def test_redistribute_equals_node_by_node_loop(pin):
+    spec = DomainSpec.rectangle(1.0, 2.0, 7, 5)
+    rng = np.random.default_rng(pin)
+    for _ in range(5):
+        nodes = rng.standard_normal((22, spec.size))
+        nodes[6] = nodes[5]  # one zero-length segment
+        with np.errstate(divide="raise", invalid="raise"):
+            vectorized = _redistribute(spec, nodes, pin)
+            looped = _redistribute_node_by_node(spec, nodes, pin)
+        assert np.array_equal(vectorized, looped)
+        assert np.array_equal(vectorized[[0, pin, 21]], nodes[[0, pin, 21]])
+
+
+def test_path_search_evaluates_energy_once_per_iteration(p1, monkeypatch):
+    # a deterministic work count: one phi_rows sweep for the initial path and
+    # one per iteration; phi_values only for the two endpoint checks and the
+    # returned point (calls nested in another counted call are not counted)
+    calls, open_calls = Counter(), []
+
+    def count(name):
+        original = getattr(EnergyModel, name)
+
+        def wrapper(self, *args):
+            calls[name] += not open_calls
+            open_calls.append(name)
+            try:
+                return original(self, *args)
+            finally:
+                open_calls.pop()
+        monkeypatch.setattr(EnergyModel, name, wrapper)
+
+    count("phi_rows")
+    count("phi_values")
+    star = find_mountain_pass(p1["models"][TruncationMode.FULL], p1["minus"], p1["plus"])
+    assert star.converged and star.iterations > 10
+    assert calls["phi_rows"] == star.iterations + 1
+    assert calls["phi_values"] == 3

@@ -159,6 +159,21 @@ def test_validate_condition_g_square_index_mismatch(interval_spec):
     assert any(f.check == "index" and "k = 3" in f.detail for f in report.failures)
 
 
+def test_validate_condition_g_counts_stencil_eigenvalues_at_zero():
+    # the continuum lambda_3 = 9 pi^2 = 88.8 lies above g'(0) = 87, but the
+    # stencil's third eigenvalue on 15 nodes is about 86.4, so the operator
+    # that is solved has index 3 at zero
+    spec = DomainSpec.interval(1.0, 15)
+    nl = cubic_nonlinearity(spec, 87.0, 0.3)
+    assert nl.k == 2
+    report = validate_condition_g(nl, spec)
+    assert report.k_computed == 3
+    assert not report.ok
+    assert [f.check for f in report.failures] == ["index"]
+    assert "claimed k = 2" in report.failures[0].detail
+    assert "gives k = 3" in report.failures[0].detail
+
+
 def test_validate_condition_g_requires_k_at_least_two(interval_spec):
     # g'(0) just above the first eigenvalue leaves only k = 1 available
     lam = 20.0
