@@ -24,11 +24,11 @@ from .analysis import SolveReport, check_morse_window
 from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions, PathCollapseError
-from .nonlinearity import Nonlinearity, validate_condition_g
-from .oracle import RK4_STEPS, find_branch, sign_change_brackets, sweep
+from .nonlinearity import MIN_VALIDATE_SAMPLES, Nonlinearity, validate_condition_g
+from .oracle import MIN_RK4_STEPS, RK4_STEPS, find_branch, sign_change_brackets, sweep
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
-from .spectrum import eigenpairs
+from .spectrum import MIN_EIGEN_COUNT, eigenpairs
 
 
 class ConfigError(ValueError):
@@ -145,6 +145,16 @@ class RunConfig:
             check_morse_window(settings.get("morse.num_eigs"), settings.get("morse.tol"))
         except ValueError as exc:
             raise ConfigError(f"morse options: {exc}") from exc
+        # the library would reject these mid-run
+        for key, floor in (("validate.samples", MIN_VALIDATE_SAMPLES),
+                           ("eigen.count", MIN_EIGEN_COUNT),
+                           ("oracle.steps", MIN_RK4_STEPS)):
+            if settings.get(key, floor) < floor:
+                raise ConfigError(f"{key} must be at least {floor}, got {settings[key]}")
+        lo, hi, step = (settings[f"oracle.slope_{end}"] for end in ("min", "max", "step"))
+        if not (np.all(np.isfinite([lo, hi, step])) and lo < hi and step > 0):
+            raise ConfigError("oracle slopes need finite slope_min < slope_max "
+                              f"and slope_step > 0, got {lo}, {hi}, {step}")
         return cls(settings=settings, preset=preset_name,
                    out_requested=out is not None or "output.dir" in file_entries)
 
@@ -294,9 +304,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         raise ConfigError("the shooting oracle needs an interval domain")
     nl = cfg.nonlinearity(spec)
     (length,) = spec.lengths
-    lo = cfg.settings["oracle.slope_min"]
-    hi = cfg.settings["oracle.slope_max"]
-    step = cfg.settings["oracle.slope_step"]
+    lo, hi, step = (cfg.settings[f"oracle.slope_{end}"] for end in ("min", "max", "step"))
     steps = cfg.settings.get("oracle.steps", RK4_STEPS)
     slopes = np.arange(lo, hi + 0.5 * step, step)
     endpoints, blown = sweep(nl, length, slopes, steps)

@@ -37,8 +37,9 @@ class DescentOptions:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not (0.0 < self.backtrack_factor < 1.0):
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.initial_step <= 0:
-            raise ValueError("max_iters, grad_tol and initial_step must be positive")
+        if not (self.max_iters >= 1 and 0.0 < self.grad_tol < np.inf
+                and 0.0 < self.initial_step < np.inf):
+            raise ValueError("max_iters, grad_tol, initial_step must be positive and finite")
 
 
 def initial_guess(model: EnergyModel, phi1: Eigenpair) -> Field:

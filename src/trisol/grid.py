@@ -172,11 +172,7 @@ def neg_laplacian_values(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
 
 
 def apply_neg_laplacian(domain: DomainSpec, u: Field) -> Field:
-    """Apply the discrete negative Laplacian with zero Dirichlet padding.
-
-    In 1D this is (2 u_i - u_{i-1} - u_{i+1}) / h^2; in 2D the analogous
-    5-point sum over both axes.
-    """
+    """The stencil of neg_laplacian_values applied to a field."""
     _check_same_domain(domain, u)
     return Field(domain, neg_laplacian_values(domain, u.values))
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Classification, CriticalPoint, morse_index
+from .analysis import Classification, CriticalPoint
 from .descent import DescentOptions, _armijo_step
 from .energy import EnergyModel
 from .grid import Field, h1_seminorm_sq_values
-from .nonlinearity import TruncationMode
+from .nonlinearity import TruncationMode, index_at_zero
 from .spectrum import eigenpairs
 
 
@@ -89,30 +89,31 @@ def _initial_path(model, u_minus, u_plus, opts, perturbation):
     return nodes
 
 
+def _h1_reflection(vol, residual, direction, tangent, tau_sq):
+    """direction = -A^{-1} residual reflected across tangent in H1 (vol <x, A y>)."""
+    return direction + (2.0 * vol * float(np.dot(residual, tangent)) / tau_sq) * tangent
+
+
 def _descend_max_node(model, u, residual, opts, tangent):
     """One backtracked step of the max node; returns the new values or None.
 
     The saddle is a maximum along the path, so a pure descent step slides
-    off it and cannot converge in place.  The move tried first is the
-    preconditioned direction with its along-path component reflected
-    (descend transversally, climb along the tangent), accepted when it
-    shrinks the l2 residual; residual decrease alone also accepts steps
-    that lift the node far above the path, so the step is capped at half
-    the H1 length of the tangent.  When no reflected step helps, one plain
-    Armijo descent step reshapes the path instead.
+    off it.  The move tried first is the preconditioned direction reflected
+    across the tangent in H1 (descend transversally, climb along the path),
+    accepted when it shrinks the l2 residual; residual decrease alone also
+    accepts steps that lift the node far above the path, so the step is
+    capped at half the tangent's H1 length, with the direction's H1 norm
+    sqrt(-slope).  When no reflected step helps, one plain Armijo descent
+    step reshapes the path instead.
     """
     vol = model.domain.cell_volume
     direction = -model.preconditioned_values(u)
-
+    slope = vol * float(np.dot(residual, direction))
     tau_sq = h1_seminorm_sq_values(model.domain, tangent)
     if tau_sq > 0.0:
-        coeff = 2.0 * vol * float(np.dot(residual, tangent)) / (vol * tau_sq)
-        reflected = direction + coeff * tangent
+        reflected = _h1_reflection(vol, residual, direction, tangent, tau_sq)
         res_norm = np.linalg.norm(residual)
-        reflected_sq = h1_seminorm_sq_values(model.domain, reflected)
-        step = opts.initial_step
-        if reflected_sq > 0.0:
-            step = min(step, 0.5 * np.sqrt(tau_sq / reflected_sq))
+        step = min(opts.initial_step, 0.5 * np.sqrt(tau_sq / -slope))
         # useful reflected steps are O(1); below 1e-8 let the plain step act
         while step >= 1e-8:
             candidate = u + step * reflected
@@ -121,7 +122,6 @@ def _descend_max_node(model, u, residual, opts, tangent):
                 return candidate
             step *= opts.backtrack_factor
 
-    slope = vol * float(np.dot(residual, direction))
     step, _ = _armijo_step(model, u, residual, direction, slope, opts)
     return None if step is None else u + step * direction
 
@@ -132,7 +132,6 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
     nodes = _initial_path(model, u_minus, u_plus, opts, perturbation)
     energies = model.phi_rows(nodes)
     last = opts.path_count
-    jmax = 0
     for it in range(opts.max_iters + 1):
         jmax = 1 + int(np.argmax(energies[1:-1]))
         u = nodes[jmax]
@@ -156,7 +155,6 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
             nodes[jmax] = moved
         nodes = _redistribute(spec, nodes, jmax)
         energies = model.phi_rows(nodes)
-    return nodes[jmax], opts.max_iters, False
 
 
 def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
@@ -167,8 +165,9 @@ def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
 
     The initial path is the straight interpolation plus a midpoint bump
     along the second eigenfunction, which breaks odd symmetry.  If the
-    returned point is the origin with Morse index >= 2 the search restarts
-    with the bump doubled, up to the restart limit.
+    returned point is the origin and the stencil gives the origin Morse
+    index >= 2, the search restarts with the bump doubled, up to the
+    restart limit.
     """
     opts = opts or MPOptions()
     if model.mode is not TruncationMode.FULL:
@@ -183,19 +182,14 @@ def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
             raise ValueError(f"{name} must have negative energy")
 
     perturbation = opts.perturbation
-    values, iterations, converged = _run_path_loop(
-        model, u_minus.u, u_plus.u, opts, perturbation)
-    restarts = 0
-    while (converged and restarts < opts.restart_limit
-           and float(np.max(np.abs(values))) <= 1e-6):
-        result = morse_index(model, Field(model.domain, values), model.nl.k + 2)
-        if result.index < 2:
-            break
-        # landed on the origin; steer away harder
-        restarts += 1
-        perturbation = 2.0 * perturbation if perturbation > 0.0 else MPOptions().perturbation
+    for _ in range(max(opts.restart_limit, 0) + 1):
         values, iterations, converged = _run_path_loop(
             model, u_minus.u, u_plus.u, opts, perturbation)
+        if not (converged and float(np.max(np.abs(values))) <= 1e-6):
+            break
+        if index_at_zero(model.domain, float(model.nl.gprime(np.asarray(0.0)))) < 2:
+            break
+        perturbation = 2.0 * perturbation if perturbation > 0.0 else MPOptions().perturbation
 
     field = Field(model.domain, values)
     residual = float(np.max(np.abs(model.residual_values(values))))

@@ -25,6 +25,7 @@ _gl_w = 0.5 * _gl_w
 _MAX_PANELS = 1024
 _SAMPLE_COUNT = 4001
 VALIDATE_SAMPLES = 512  # sandwich samples in validate_condition_g
+MIN_VALIDATE_SAMPLES = 100
 
 
 class TruncationMode(enum.Enum):
@@ -91,10 +92,8 @@ def _gauss_integrate(g, a, b, tol):
         sig = a[:, None] + span[:, None] * offs[None, :]
         vals = np.asarray(g(sig)).reshape(len(a), panels, _GL_ORDER)
         cur = span / panels * (vals @ _gl_w).sum(axis=1)
-        if prev is not None and np.all(
-                np.abs(cur - prev) <= np.maximum(tol, 4.0 * np.spacing(np.abs(cur)))):
-            return cur
-        if panels >= _MAX_PANELS:
+        if panels >= _MAX_PANELS or (prev is not None and np.all(
+                np.abs(cur - prev) <= np.maximum(tol, 4.0 * np.spacing(np.abs(cur))))):
             return cur
         prev = cur
         panels *= 2
@@ -155,6 +154,11 @@ class ConditionGReport:
     failures: list[CheckFailure]
 
 
+def index_at_zero(spec: DomainSpec, gprime0: float) -> int:
+    """Morse index of the origin: the stencil eigenvalues at or below g'(0)."""
+    return int(np.count_nonzero(_symbol(spec) <= gprime0))
+
+
 def validate_condition_g(nl: Nonlinearity, spec: DomainSpec,
                          samples: int = VALIDATE_SAMPLES) -> ConditionGReport:
     """Check the hypotheses on g against the domain's spectrum.
@@ -168,8 +172,8 @@ def validate_condition_g(nl: Nonlinearity, spec: DomainSpec,
     one on a coarse grid.  Failures are reported, not raised, so near-miss
     inputs can still be run.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 sample points")
+    if samples < MIN_VALIDATE_SAMPLES:
+        raise ValueError(f"need at least {MIN_VALIDATE_SAMPLES} sample points")
     failures: list[CheckFailure] = []
 
     root_tol = 1e-12 * nl.scale
@@ -184,7 +188,7 @@ def validate_condition_g(nl: Nonlinearity, spec: DomainSpec,
         failures.append(CheckFailure("k_min", "k >= 2 required", witness=float(nl.k)))
 
     gp0 = float(nl.gprime(np.asarray(0.0)))
-    k_computed = int(np.count_nonzero(_symbol(spec) <= gp0))
+    k_computed = index_at_zero(spec, gp0)
     if k_computed == 0:
         failures.append(CheckFailure(
             "gprime0", f"g'(0) = {gp0:.6g} is below the first stencil eigenvalue",
@@ -276,9 +280,7 @@ def preset_corollary(spec: DomainSpec, lambda_val: float,
                 raise RuntimeError(
                     "no sign change of g below |t| = 1e9; "
                     "f does not look superlinear")
-        if sign > 0:
-            return _bisect(scalar_g, T / 2.0 if T > 1.0 else 1e-12, T)
-        return -_bisect(lambda t: scalar_g(-t), T / 2.0 if T > 1.0 else 1e-12, T)
+        return sign * _bisect(lambda t: scalar_g(sign * t), T / 2.0 if T > 1.0 else 1e-12, T)
 
     a_plus = find_root(+1.0)
     a_minus = find_root(-1.0)

@@ -17,6 +17,7 @@ from .grid import DomainSpec
 from .nonlinearity import Nonlinearity
 
 RK4_STEPS = 4096  # default steps per trajectory
+MIN_RK4_STEPS = 1000
 
 
 @dataclass(eq=False)
@@ -52,8 +53,8 @@ class ShotResult:
 def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
                steps: int, record: bool):
     """Integrate all slopes at once; returns (endpoints, blown, trajectory)."""
-    if steps < 1000:
-        raise ValueError("use at least 1000 RK4 steps")
+    if steps < MIN_RK4_STEPS:
+        raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
     h = length / steps
     u = np.zeros_like(slopes)
@@ -63,15 +64,11 @@ def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
     dtraj = np.zeros((steps + 1, slopes.size)) if record else None
     if record:
         dtraj[0] = p
-
-    def accel(state):
-        return -nl.g(state)
-
-    for i in range(steps):
-        k1u, k1p = p, accel(u)
-        k2u, k2p = p + 0.5 * h * k1p, accel(u + 0.5 * h * k1u)
-        k3u, k3p = p + 0.5 * h * k2p, accel(u + 0.5 * h * k2u)
-        k4u, k4p = p + h * k3p, accel(u + h * k3u)
+    for i in range(steps):     # u' = p, p' = -g(u)
+        k1u, k1p = p, -nl.g(u)
+        k2u, k2p = p + 0.5 * h * k1p, -nl.g(u + 0.5 * h * k1u)
+        k3u, k3p = p + 0.5 * h * k2p, -nl.g(u + 0.5 * h * k2u)
+        k4u, k4p = p + h * k3p, -nl.g(u + h * k3u)
         u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         p_next = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         active = ~blown

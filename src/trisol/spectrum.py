@@ -15,6 +15,8 @@ import numpy as np
 
 from .grid import DomainSpec, Field, quadrature
 
+MIN_EIGEN_COUNT = 1
+
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
@@ -33,8 +35,8 @@ class Eigenpair:
 
 def eigenvalue_table(spec: DomainSpec, count: int) -> list[tuple[float, tuple[int, ...]]]:
     """The count smallest (eigenvalue, mode) pairs, sorted with multiplicity."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if count < MIN_EIGEN_COUNT:
+        raise ValueError(f"count must be at least {MIN_EIGEN_COUNT}")
     # the count smallest modes have every index <= count
     table = [(sum((m * math.pi / L) ** 2 for m, L in zip(mode, spec.lengths)), mode)
              for mode in itertools.product(range(1, count + 1), repeat=spec.ndim)]

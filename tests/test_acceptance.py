@@ -110,6 +110,7 @@ def test_criterion_3_p2_end_to_end(tmp_path):
     assert zero["morse_index"] == 3
     assert zero["morse_index"] == sandwich_index(spec, 60.0)
     assert all(report["flags"].values())
+    assert report["points"][2]["iterations"] <= 100   # path iterations of u*
     assert elapsed <= 300.0
 
 

@@ -302,7 +302,11 @@ def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys):
                                   "mountainpass.path_count = 4",
                                   "mountainpass.max_iters = -1",
                                   "morse.tol = -100", "morse.tol = 0",
-                                  "morse.num_eigs = 0"])
+                                  "morse.num_eigs = 0",
+                                  "oracle.slope_step = 0", "oracle.slope_step = -0.5",
+                                  "oracle.slope_max = -60", "oracle.steps = 512",
+                                  "validate.samples = 50", "eigen.count = 0",
+                                  "descent.initial_step = inf", "descent.grad_tol = nan"])
 def test_out_of_range_option_is_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
@@ -311,19 +315,28 @@ def test_out_of_range_option_is_exit_2(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()  # and nothing is written
 
 
+def test_oracle_zero_slope_step_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = p1-interval\ngrid.n = 31\noracle.slope_step = 0\n")
+    assert main(["oracle", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+
+
 def _optional_numpy_modules_after(argv, cwd):
-    """Run main(argv) in a fresh interpreter; report which of numpy.random
-    and numpy.fft it imported."""
+    """Run main(argv) in a fresh interpreter; return its exit code and which
+    of numpy.random and numpy.fft it imported."""
     code = ("import sys\n"
             "from trisol.cli import main\n"
-            f"main({argv!r})\n"
-            "print([m for m in ('numpy.random', 'numpy.fft') if m in sys.modules])")
+            f"rc = main({argv!r})\n"
+            "print(rc, [m for m in ('numpy.random', 'numpy.fft') if m in sys.modules])")
     src = str(Path(trisol.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
-    return done.stdout.strip().splitlines()[-1]
+    rc, modules = done.stdout.strip().splitlines()[-1].split(" ", 1)
+    return int(rc), modules
 
 
 def test_solve_and_oracle_skip_optional_numpy_modules(tmp_path):
@@ -331,12 +344,14 @@ def test_solve_and_oracle_skip_optional_numpy_modules(tmp_path):
     # needs no sine transform either
     solve = ["solve", "--preset", "p1-interval", "--n", "31",
              "--out", str(tmp_path / "out")]
-    assert _optional_numpy_modules_after(solve, tmp_path) == "['numpy.fft']"
+    assert _optional_numpy_modules_after(solve, tmp_path) == (0, "['numpy.fft']")
+    # a window holding one branch, at a step count past the RK4 floor, so
+    # the oracle half really shoots
     cfg = tmp_path / "oracle.cfg"
-    cfg.write_text("preset = p1-interval\noracle.slope_step = 0.5\n"
-                   "oracle.steps = 512\n")
+    cfg.write_text("preset = p1-interval\noracle.slope_min = 30\noracle.slope_max = 50\n"
+                   "oracle.slope_step = 0.5\noracle.steps = 1024\n")
     oracle = ["oracle", "--config", str(cfg)]
-    assert _optional_numpy_modules_after(oracle, tmp_path) == "[]"
+    assert _optional_numpy_modules_after(oracle, tmp_path) == (0, "[]")
 
 
 def test_solve_command_failing_flag_is_exit_1(tmp_path, capsys):

@@ -6,11 +6,11 @@ import pytest
 from trisol.analysis import Classification
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
-from trisol.grid import DomainSpec, h1_seminorm_sq_values
-from trisol.mountainpass import (MPOptions, PathCollapseError, _redistribute,
-                                 find_mountain_pass)
+from trisol.grid import DomainSpec, h1_seminorm_sq_values, neg_laplacian_values
+from trisol.mountainpass import (MPOptions, PathCollapseError, _h1_reflection,
+                                 _initial_path, _redistribute, find_mountain_pass)
 from trisol.nonlinearity import TruncationMode
-from trisol.presets import cubic_nonlinearity
+from trisol.presets import build_preset, cubic_nonlinearity
 from trisol.spectrum import eigenpairs
 
 RT60 = np.sqrt(60.0)
@@ -18,7 +18,10 @@ RT60 = np.sqrt(60.0)
 
 def _solve_minimizers(n, lam):
     spec = DomainSpec.interval(1.0, n)
-    nl = cubic_nonlinearity(spec, lam)
+    return _minimizers(spec, cubic_nonlinearity(spec, lam))
+
+
+def _minimizers(spec, nl):
     phi1 = eigenpairs(spec, 1)[0]
     plus_model = EnergyModel(spec, nl, TruncationMode.PLUS)
     minus_model = EnergyModel(spec, nl, TruncationMode.MINUS)
@@ -126,6 +129,23 @@ def test_restart_rule_escapes_the_origin(solved):
     assert np.max(np.abs(star.u.values)) > 0.1
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_restart_limit_without_restarts(solved, limit):
+    # no restart allowed: the one run's landing on the origin is returned
+    spec, nl, full_model, minus, plus = solved
+    starts = []
+
+    def watch(info):
+        if info["iteration"] == 0:
+            starts.append(info["residual"])
+
+    opts = MPOptions(perturbation=0.0, restart_limit=limit, callback=watch)
+    star = find_mountain_pass(full_model, minus, plus, opts)
+    assert len(starts) == 1
+    assert star.converged
+    assert np.max(np.abs(star.u.values)) <= 1e-6
+
+
 def test_iteration_cap_returns_data(solved):
     spec, nl, full_model, minus, plus = solved
     star = find_mountain_pass(full_model, minus, plus, MPOptions(max_iters=2))
@@ -136,7 +156,8 @@ def test_iteration_cap_returns_data(solved):
 def test_mp_options_validation():
     # the path search shares the descent's checks on its line-search fields
     for bad in ({"path_count": 4}, {"max_iters": 0}, {"grad_tol": 0},
-                {"initial_step": 0}, {"armijo_c": 1.0}):
+                {"initial_step": 0}, {"armijo_c": 1.0},
+                {"initial_step": float("inf")}, {"grad_tol": float("nan")}):
         with pytest.raises(ValueError):
             MPOptions(**bad)
     # keyword-only: inheritance reorders fields, so a positional value
@@ -207,3 +228,41 @@ def test_path_search_evaluates_energy_once_per_iteration(p1, monkeypatch):
     assert star.converged and star.iterations > 10
     assert calls["phi_rows"] == star.iterations + 1
     assert calls["phi_values"] == 3
+
+
+@pytest.mark.parametrize("preset", ["p1-interval", "p2-square"])
+def test_path_step_is_the_h1_reflection(preset):
+    # at the first path maximum, the reflected direction mirrors the
+    # preconditioned one across the tangent in a(x, y) = vol <x, A y>: the
+    # along-path component flips sign and the H1 norm is kept
+    spec, nl, full_model, minus, plus = _minimizers(*build_preset(preset))
+    opts = MPOptions()
+    nodes = _initial_path(full_model, minus.u, plus.u, opts, opts.perturbation)
+    j = 1 + int(np.argmax(full_model.phi_rows(nodes)[1:-1]))
+    u, tangent = nodes[j], nodes[j + 1] - nodes[j - 1]
+    residual = full_model.residual_values(u)
+    direction = -full_model.preconditioned_values(u)
+    vol = spec.cell_volume
+
+    def a(x, y):
+        return vol * float(np.dot(x, neg_laplacian_values(spec, y)))
+
+    reflected = _h1_reflection(vol, residual, direction, tangent,
+                               h1_seminorm_sq_values(spec, tangent))
+    assert a(reflected, tangent) == pytest.approx(-a(direction, tangent), rel=1e-9)
+    assert a(reflected, reflected) == pytest.approx(a(direction, direction), rel=1e-9)
+
+
+def test_p1_path_search_iterations(p1):
+    assert p1["star"].converged
+    assert p1["star"].iterations <= 80
+
+
+@pytest.mark.parametrize("lam", [float(lam) for lam in range(55, 66)])
+def test_path_search_iterations_across_lambda(lam):
+    # on the p1 grid the iteration count used to swing from 94 to 2790
+    # across this window
+    spec, nl, full_model, minus, plus = _solve_minimizers(127, lam)
+    star = find_mountain_pass(full_model, minus, plus)
+    assert star.converged
+    assert star.iterations <= 200

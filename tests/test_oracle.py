@@ -14,6 +14,12 @@ def nl():
     return cubic_nonlinearity(DomainSpec.interval(1.0, 63))
 
 
+@pytest.fixture(scope="module")
+def branch_42(nl):
+    """The branch in the slope bracket (42.0, 42.41) at 4096 steps, shot once."""
+    return find_branch(nl, 1.0, (42.0, 42.41), 4096)
+
+
 def test_zero_slope_stays_at_equilibrium(nl):
     shot = shoot(nl, 1.0, 0.0, 1024)
     assert shot.endpoint == 0.0
@@ -78,15 +84,15 @@ def test_find_branch_one_sign_solution(nl):
     assert amplitude < RT60
 
 
-def test_find_branch_mirror(nl):
-    pos = find_branch(nl, 1.0, (42.0, 42.41), 4096)
+def test_find_branch_mirror(nl, branch_42):
+    pos = branch_42
     neg = find_branch(nl, 1.0, (-42.41, -42.0), 4096)
     assert neg.slope == pytest.approx(-pos.slope, abs=1e-9)
     assert np.max(np.abs(pos.values + neg.values)) <= 1e-9
 
 
-def test_find_branch_step_halving_consistency(nl):
-    coarse = find_branch(nl, 1.0, (42.0, 42.41), 4096)
+def test_find_branch_step_halving_consistency(nl, branch_42):
+    coarse = branch_42
     fine = find_branch(nl, 1.0, (42.0, 42.41), 8192)
     assert np.max(np.abs(coarse.values[::2] - fine.values[::4])) <= 1e-9
     assert coarse.slope == pytest.approx(fine.slope, abs=1e-8)
@@ -97,9 +103,9 @@ def test_find_branch_rejects_bad_bracket(nl):
         find_branch(nl, 1.0, (1.0, 2.0), 2048)
 
 
-def test_values_at_grid_nodes(nl):
+def test_values_at_grid_nodes(branch_42):
     spec = DomainSpec.interval(1.0, 63)
-    branch = find_branch(nl, 1.0, (42.0, 42.41), 4096)
+    branch = branch_42
     on_grid = branch.values_at(spec)
     assert on_grid.shape == (63,)
     xs = spec.axes()[0]
