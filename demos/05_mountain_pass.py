@@ -42,7 +42,6 @@ print(f"  energy {star.energy:+.4f}  (above both endpoint energies)")
 print(f"  residual {star.residual:.2e}")
 print(f"  range [{values.min():+.4f}, {values.max():+.4f}]  (sign-changing)")
 
-result = morse_index(full_model, star.u, nl.k + 2)
-zero_index = morse_index(full_model, star.u * 0.0, nl.k + 2)
+result, zero_index = morse_index(full_model, [star.u, star.u * 0.0])
 print(f"  Morse index {result.index} vs index {zero_index.index} at the origin: "
       "different critical points")

@@ -1,5 +1,6 @@
 """Checks on computed critical points: bounds, positivity, distinctness,
-and Morse indices of the linearized operator -lap - g'(u).
+and Morse indices of the linearized operator -lap - g'(u), counted exactly
+by Sylvester's law of inertia rather than by computing eigenvalues.
 
 The Morse index stands in for the homological data attached to each
 critical point: for a nondegenerate point the index determines it, so an
@@ -17,20 +18,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import EnergyModel
-from .grid import DomainSpec, Field, _symbol, neg_laplacian_values, solve_shifted_values
+from .grid import DomainSpec, Field, count_below, neg_laplacian_values
 from .nonlinearity import ConditionGReport, TruncationMode
 
-_WEYL_STEP = 0.5 * (5.0 ** 0.5 - 1.0)  # golden-ratio conjugate
-_EIG_ITERS = 400
-_MAX_EIGS = 40
 _BOUNDS_TOL = 1e-9         # slack on [a-, a+]
 _DISTINCT_TOL = 1e-3       # least sup distance between points, times the amplitude
 _NONTRIVIAL_TOL = 1e-3     # least sup norm of a nontrivial point
 _CLASSICAL_TOL = 1e-12     # sup gap between the original and the truncated residual
-
-
-class EigenIterationError(RuntimeError):
-    """The block eigensolver failed to converge an eigenpair."""
 
 
 class Classification(str, enum.Enum):
@@ -74,7 +68,6 @@ class MorseIndexResult:
 
     index: int
     degenerate: bool
-    eigenvalues: list[float]
 
 
 def check_bounds(u: Field, a_minus: float, a_plus: float, tol: float) -> BoundsCheck:
@@ -103,81 +96,29 @@ def positivity_profile(u: Field) -> PositivityProfile:
                              min_boundary_slope=slope)
 
 
-def _smallest_eigenvalues(model: EnergyModel, u_values: np.ndarray,
-                          num_eigs: int) -> list[float]:
-    """num_eigs smallest eigenvalues of v -> -lap v - g'(u) v.
-
-    Where g'(u) is constant, as at the origin, they are the stencil symbol
-    minus that constant.  Otherwise block LOBPCG (Knyazev 2001) on a stack of
-    rows: each step applies the operator once, to an orthonormal basis of the
-    Ritz block, its preconditioned residuals and the last search directions,
-    and takes the next block by Rayleigh-Ritz.  The preconditioner, the
-    direct solve of -lap + mean(d) with d = -g'(u) + sup g' + 1 >= 1 (sup over
-    the root interval), is SPD.  Three guard vectors past num_eigs keep
-    clustered eigenvalues converging, and the start block is a Weyl sequence:
-    deterministic, with no symmetry that the iteration could preserve and so
-    hide an eigenvector class from.
-    """
-    spec = model.domain
-    weight = np.broadcast_to(model.nl.gprime(u_values), u_values.shape)
-    if np.all(weight == weight[0]):
-        return [float(t) for t in np.sort((_symbol(spec) - weight[0]).ravel())[:num_eigs]]
-    mean_diag = float(np.mean(-weight + model.nl.gprime_max + 1.0))
-    n = spec.size
-    block = min(num_eigs + 3, n)
-    start = (np.arange(1, n * block + 1) * _WEYL_STEP) % 1.0 - 0.5
-    basis = np.linalg.qr(start.reshape(n, block))[0].T
-    for _ in range(_EIG_ITERS):
-        images = neg_laplacian_values(spec, basis)
-        images -= weight * basis
-        projected = basis @ images.T
-        theta, rotation = np.linalg.eigh(0.5 * (projected + projected.T))
-        theta, rotation = theta[:block], rotation[:, :block].T
-        ritz = rotation @ basis
-        residuals = rotation @ images - theta[:, None] * ritz
-        norms = np.linalg.norm(residuals[:num_eigs], axis=1)
-        if np.all(norms <= 1e-9 * np.maximum(1.0, np.abs(theta[:num_eigs]))):
-            return [float(t) for t in theta[:num_eigs]]
-        # the basis starts with the old Ritz block, so its other rows carry
-        # the part of the new block orthogonal to the old one
-        directions = [rotation[:, block:] @ basis[block:]] if len(basis) > block else []
-        del basis, images  # the largest arrays: free them before the solve and QR
-        rows = [ritz, solve_shifted_values(spec, residuals, mean_diag)] + directions
-        basis = np.linalg.qr(np.vstack(rows).T)[0].T
-    raise EigenIterationError(
-        f"block LOBPCG did not converge {num_eigs} eigenvalues in {_EIG_ITERS} steps")
-
-
-def check_morse_window(num_eigs: int | None, tol: float | None) -> None:
-    """Reject num_eigs < 1 and a tol that is not finite and positive (None: default)."""
-    if num_eigs is not None and num_eigs < 1:
-        raise ValueError(f"num_eigs must be at least 1, got {num_eigs}")
+def check_morse_tol(tol: float | None) -> None:
+    """Reject a tol that is not finite and positive (None: the default)."""
     if tol is not None and not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
-def morse_index(model: EnergyModel, u: Field, num_eigs: int,
-                tol: float | None = None) -> MorseIndexResult:
-    """Morse index of u: negative eigenvalues of the linearization at u.
+def morse_index(model: EnergyModel, fields: list[Field],
+                tol: float | None = None) -> list[MorseIndexResult]:
+    """Morse index of each field: the eigenvalues of the linearization
+    -lap - g'(u) below -tol.
 
-    Computes the num_eigs smallest eigenvalues and counts those below -tol;
-    eigenvalues inside [-tol, tol] mark the count as degenerate.  If every
-    computed eigenvalue is negative the window is widened so no negative
-    eigenvalue can hide beyond it.
+    The eigenvalues below -tol and below +tol are counted exactly, by
+    inertia, for all fields in one pass; a point is degenerate iff the two
+    counts differ, that is iff an eigenvalue lies in [-tol, tol).
     """
-    check_morse_window(num_eigs, tol)
+    check_morse_tol(tol)
     if tol is None:
         tol = 1e-6 * model.nl.scale
-    num_eigs = int(num_eigs)
-    while True:
-        eigenvalues = _smallest_eigenvalues(model, u.values, num_eigs)
-        if eigenvalues[-1] >= -tol or num_eigs >= min(_MAX_EIGS, model.domain.size):
-            break
-        num_eigs = min(num_eigs + 4, _MAX_EIGS, model.domain.size)
-    index = int(sum(1 for lam in eigenvalues if lam < -tol))
-    degenerate = bool(any(-tol <= lam <= tol for lam in eigenvalues))
-    return MorseIndexResult(index=index, degenerate=degenerate,
-                            eigenvalues=eigenvalues)
+    weights = np.stack([np.broadcast_to(model.nl.gprime(u.values), u.values.shape)
+                        for u in fields])
+    counts = count_below(model.domain, weights, np.array([-tol, tol]))
+    return [MorseIndexResult(index=int(below), degenerate=bool(below != within))
+            for below, within in counts]
 
 
 @dataclass
@@ -220,7 +161,6 @@ class SolveReport:
 def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
                     minus: CriticalPoint, plus: CriticalPoint,
                     star: CriticalPoint, *,
-                    morse_num_eigs: int | None = None,
                     morse_tol: float | None = None,
                     preset: str | None = None) -> SolveReport:
     """Run every check on the three candidates plus the zero solution.
@@ -241,9 +181,8 @@ def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
         u=Field.zeros(spec), energy=0.0, residual=0.0,
         classification=Classification.TRIVIAL, converged=True, bounds_ok=True)
 
-    num_eigs = morse_num_eigs if morse_num_eigs is not None else nl.k + 2
-    for point in (minus, plus, star, trivial):
-        result = morse_index(model, point.u, num_eigs, morse_tol)
+    points = (minus, plus, star, trivial)
+    for point, result in zip(points, morse_index(model, [p.u for p in points], morse_tol)):
         point.morse_index = result.index
         point.morse_degenerate = result.degenerate
 

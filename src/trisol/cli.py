@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import SolveReport, check_morse_window
+from .analysis import SolveReport, check_morse_tol
 from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions, PathCollapseError
@@ -58,7 +58,6 @@ _SCHEMA: dict[str, type] = {
     "mountainpass.perturbation": float,
     "mountainpass.collapse_tol": float,
     "mountainpass.restart_limit": int,
-    "morse.num_eigs": int,
     "morse.tol": float,
     "validate.samples": int,
     "eigen.count": int,
@@ -142,7 +141,7 @@ class RunConfig:
         if out is not None:
             settings["output.dir"] = out
         try:
-            check_morse_window(settings.get("morse.num_eigs"), settings.get("morse.tol"))
+            check_morse_tol(settings.get("morse.tol"))
         except ValueError as exc:
             raise ConfigError(f"morse options: {exc}") from exc
         # the library would reject these mid-run
@@ -259,8 +258,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         descent_opts=cfg.options(DescentOptions, "descent"),
         mp_opts=cfg.options(MPOptions, "mountainpass"),
         preset=cfg.preset,
-        **cfg.given(validate_samples="validate.samples",
-                    morse_num_eigs="morse.num_eigs", morse_tol="morse.tol"),
+        **cfg.given(validate_samples="validate.samples", morse_tol="morse.tol"),
     )
     out = cfg.output_dir()
     out.mkdir(parents=True, exist_ok=True)

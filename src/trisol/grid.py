@@ -4,7 +4,9 @@ Fields store interior node values only; the homogeneous Dirichlet boundary
 is implicit.  The negative Laplacian is the standard 3-point (1D) or
 5-point (2D) second-order stencil, and quadrature is composite midpoint with
 weight h^d per interior node.  DST-I diagonalizes the stencil exactly, so
-Poisson solves, plain or shifted, are direct (Buzbee, Golub & Nielson 1970).
+Poisson solves are direct (Buzbee, Golub & Nielson 1970).
+Eigenvalues of the stencil minus a diagonal are counted, not computed: by
+the symbol where the diagonal is constant, by block inertia otherwise.
 """
 
 from __future__ import annotations
@@ -239,6 +241,60 @@ def _symbol(domain: DomainSpec) -> np.ndarray:
     return functools.reduce(np.add.outer, lams)
 
 
+class SingularPivotError(RuntimeError):
+    """A pivot block of the inertia count is singular to rounding, so the
+    count at that shift is not determined."""
+
+
+def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of -lap - diag(w) below each shift, per row w.
+
+    weights is a stack (m, size) and shifts a 1D array (k,); the result is
+    an (m, k) integer array.  A constant row shifts the stencil's spectrum,
+    which the symbol gives in closed form.  Every other row is counted by
+    Sylvester's law of inertia: the block LDL^T factorization of
+    -lap - diag(w) - s steps along the longer axis, with blocks T_i as wide
+    as the shorter one, and its pivots D_1 = T_1, D_{i+1} = T_{i+1} -
+    h^-4 D_i^{-1} together have as many negative eigenvalues as
+    -lap - diag(w) - s.  In 1D the blocks are scalars and this is the Sturm
+    count.  One batched eigh per step gives the inertia and the inverse of
+    the pivots of all rows and shifts.
+    """
+    counts = np.empty((len(weights), len(shifts)), dtype=int)
+    constant = np.all(weights == weights[:, :1], axis=1)
+    symbol = _symbol(domain).ravel()
+    for row in np.flatnonzero(constant):
+        counts[row] = np.count_nonzero((symbol - weights[row, 0])[:, None] < shifts, axis=0)
+    grid = weights[~constant].reshape((-1,) + domain.counts)
+    if domain.ndim == 1:
+        # an interval is a rectangle one node wide with no coupling across it
+        grid, (h, across) = grid[..., None], (domain.spacings[0], math.inf)
+    elif domain.counts[1] > domain.counts[0]:
+        grid, (across, h) = grid.transpose(0, 2, 1), domain.spacings
+    else:
+        (h, across) = domain.spacings
+    width = grid.shape[2]
+    block = ((2.0 * np.eye(width) - np.eye(width, k=1) - np.eye(width, k=-1)) / across ** 2
+             + 2.0 / (h * h) * np.eye(width))
+    # one row per (weight, shift) pair: the diagonal w + s taken off each block
+    taken = (grid[:, None] + shifts[:, None, None]).reshape((-1,) + grid.shape[1:])
+    negative = np.zeros(len(taken), dtype=int)
+    schur = np.zeros((len(taken), width, width))
+    diag = np.arange(width)
+    for step in range(grid.shape[1]):
+        pivot = block - schur
+        pivot[:, diag, diag] -= taken[:, step]
+        vals, vecs = np.linalg.eigh(pivot)
+        size = np.abs(vals)
+        if np.any(size.min(axis=1) <= width * np.finfo(float).eps * size.max(axis=1)):
+            raise SingularPivotError(
+                f"pivot block {step} of the inertia count is singular to rounding")
+        negative += np.count_nonzero(vals < 0.0, axis=1)
+        schur = (vecs / (h ** 4 * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    counts[~constant] = negative.reshape(len(grid), len(shifts))
+    return counts
+
+
 def _dst(a: np.ndarray, ndim: int) -> np.ndarray:
     """Unnormalized DST-I over the last ndim axes, X_k = sum_j a_j sin(pi j k / (n+1)).
 
@@ -255,22 +311,17 @@ def _dst(a: np.ndarray, ndim: int) -> np.ndarray:
     return a
 
 
-def solve_shifted_values(domain: DomainSpec, rhs: np.ndarray, shift: float) -> np.ndarray:
-    """Direct solve of (-lap + shift) w = rhs on raw arrays.
+def solve_poisson_values(domain: DomainSpec, rhs: np.ndarray) -> np.ndarray:
+    """Direct solve of -lap w = rhs on raw arrays, exact up to rounding.
 
-    A sine transform, a division by the shifted symbol (which shift must
-    keep positive), and the inverse transform.  rhs is one field (size,) or
-    a stack (m, size), solved row by row with the same arithmetic.
+    A sine transform, a division by the symbol, and the inverse transform.
+    rhs is one field (size,) or a stack (m, size), solved row by row with
+    the same arithmetic.
     """
     scale = math.prod(2.0 / (n + 1) for n in domain.counts)
     coeffs = _dst(rhs.reshape(rhs.shape[:-1] + domain.counts), domain.ndim)
-    coeffs *= scale / (_symbol(domain) + shift)
+    coeffs *= scale / _symbol(domain)
     return _dst(coeffs, domain.ndim).reshape(rhs.shape)
-
-
-def solve_poisson_values(domain: DomainSpec, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve of -lap w = rhs on raw arrays, exact up to rounding."""
-    return solve_shifted_values(domain, rhs, 0.0)
 
 
 def solve_poisson(domain: DomainSpec, rhs: Field) -> Field:

@@ -45,6 +45,10 @@ class MPOptions(DescentOptions):
         super().__post_init__()
         if self.path_count < 8:
             raise ValueError("need at least 8 path segments")
+        if not np.isfinite(self.perturbation):
+            raise ValueError(f"perturbation must be finite, got {self.perturbation}")
+        if not (np.isfinite(self.collapse_tol) and self.collapse_tol > 0):
+            raise ValueError(f"collapse_tol must be positive and finite, got {self.collapse_tol}")
 
 
 @dataclass

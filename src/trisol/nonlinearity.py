@@ -45,9 +45,8 @@ class Nonlinearity:
     delta: float
     k: int
     primitive: Callable[[np.ndarray], np.ndarray] | None = None
-    # derived bounds over [a_minus, a_plus], sampled once at construction
+    # max(1, sup |g|) over [a_minus, a_plus], sampled once at construction
     scale: float = dc_field(init=False)
-    gprime_max: float = dc_field(init=False)
 
     def __post_init__(self):
         if not (self.a_minus < 0.0 < self.a_plus):
@@ -59,7 +58,6 @@ class Nonlinearity:
         self.k = int(self.k)
         ts = np.linspace(self.a_minus, self.a_plus, _SAMPLE_COUNT)
         self.scale = max(1.0, float(np.max(np.abs(self.g(ts)))))
-        self.gprime_max = float(np.max(self.gprime(ts)))
 
     def support(self, mode: TruncationMode) -> tuple[float, float]:
         if mode is TruncationMode.PLUS:

@@ -18,7 +18,6 @@ def run_pipeline(spec: DomainSpec, nl: Nonlinearity, *,
                  descent_opts: DescentOptions | None = None,
                  mp_opts: MPOptions | None = None,
                  validate_samples: int = VALIDATE_SAMPLES,
-                 morse_num_eigs: int | None = None,
                  morse_tol: float | None = None,
                  preset: str | None = None) -> SolveReport:
     """Compute the three nontrivial solutions and check every claim.
@@ -39,5 +38,4 @@ def run_pipeline(spec: DomainSpec, nl: Nonlinearity, *,
     star = find_mountain_pass(full_model, minus, plus, mp_opts)
 
     return assemble_report(full_model, condition_g, minus, plus, star,
-                           morse_num_eigs=morse_num_eigs, morse_tol=morse_tol,
-                           preset=preset)
+                           morse_tol=morse_tol, preset=preset)

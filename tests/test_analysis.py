@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from trisol import analysis
-from trisol.analysis import (Classification, CriticalPoint, EigenIterationError,
-                             _smallest_eigenvalues, assemble_report,
+from trisol import analysis, grid
+from trisol.analysis import (Classification, CriticalPoint, assemble_report,
                              check_bounds, morse_index, positivity_profile)
 from trisol.energy import EnergyModel
-from trisol.grid import DomainSpec, Field, neg_laplacian_values
+from trisol.grid import (DomainSpec, Field, SingularPivotError, count_below,
+                         neg_laplacian_values)
 from trisol.nonlinearity import (Nonlinearity, TruncationMode,
                                  validate_condition_g)
 from trisol.presets import cubic_nonlinearity
@@ -15,7 +15,7 @@ from trisol.spectrum import eigenpairs, sandwich_index
 RT60 = np.sqrt(60.0)
 
 
-def _dense_eigenvalues(spec, nl, u_values, count):
+def _dense_eigenvalues(spec, nl, u_values):
     """Oracle: eigenvalues of the assembled dense linearization matrix."""
     n = spec.size
     A = np.zeros((n, n))
@@ -23,8 +23,27 @@ def _dense_eigenvalues(spec, nl, u_values, count):
         e = np.zeros(n)
         e[j] = 1.0
         A[:, j] = neg_laplacian_values(spec, e)
-    A -= np.diag(nl.gprime(u_values))
-    return np.sort(np.linalg.eigvalsh(A))[:count]
+    A -= np.diag(np.broadcast_to(nl.gprime(u_values), (n,)))
+    return np.linalg.eigvalsh(A)
+
+
+def _probe_shifts(eigenvalues):
+    """Shifts 1e-6 max(1, |ev|) to either side of each eigenvalue, and the
+    midpoints between neighbours that differ by more than that."""
+    ev = np.sort(eigenvalues)
+    off = 1e-6 * np.maximum(1.0, np.abs(ev))
+    gaps = np.flatnonzero(np.diff(ev) > off[1:])
+    return np.concatenate((ev - off, ev + off, 0.5 * (ev[gaps] + ev[gaps + 1])))
+
+
+def _assert_counts_match_dense(spec, nl, u_values, window=None):
+    """count_below at every probe shift around the window smallest
+    eigenvalues (all of them by default) equals the dense count."""
+    dense = _dense_eigenvalues(spec, nl, u_values)
+    shifts = _probe_shifts(dense[:window])
+    weights = np.broadcast_to(nl.gprime(u_values), (1, spec.size))
+    got = count_below(spec, weights, shifts)[0]
+    assert np.array_equal(got, np.count_nonzero(dense[:, None] < shifts, axis=0))
 
 
 def test_check_bounds_zero_field(p1):
@@ -85,7 +104,7 @@ def test_positivity_profile_plus_minimizer(p1):
 def test_morse_index_at_zero_is_k(p1):
     spec, nl = p1["spec"], p1["nl"]
     model = p1["models"][TruncationMode.FULL]
-    result = morse_index(model, Field.zeros(spec), nl.k + 2)
+    (result,) = morse_index(model, [Field.zeros(spec)])
     assert result.index == 2
     assert result.index == sandwich_index(spec, 60.0)
     assert not result.degenerate
@@ -93,21 +112,19 @@ def test_morse_index_at_zero_is_k(p1):
 
 def test_morse_indices_of_the_three_solutions(p1):
     model = p1["models"][TruncationMode.FULL]
-    nl = p1["nl"]
-    assert morse_index(model, p1["plus"].u, nl.k + 2).index == 0
-    assert morse_index(model, p1["minus"].u, nl.k + 2).index == 0
-    star = morse_index(model, p1["star"].u, nl.k + 2)
+    plus, minus, star = morse_index(model, [p1["plus"].u, p1["minus"].u, p1["star"].u])
+    assert plus.index == 0
+    assert minus.index == 0
     assert star.index == 1
     assert not star.degenerate
 
 
 def test_morse_eigenvalues_match_dense_oracle(p1):
+    # the closed form at the origin and the Sturm count at the saddle, at
+    # every shift around the four smallest eigenvalues
     spec, nl = p1["spec"], p1["nl"]
-    model = p1["models"][TruncationMode.FULL]
     for u in (Field.zeros(spec), p1["star"].u):
-        result = morse_index(model, u, 4)
-        expected = _dense_eigenvalues(spec, nl, u.values, len(result.eigenvalues))
-        assert np.allclose(result.eigenvalues, expected, rtol=1e-8, atol=1e-7)
+        _assert_counts_match_dense(spec, nl, u.values, 4)
 
 
 def test_morse_index_flags_degeneracy():
@@ -121,18 +138,23 @@ def test_morse_index_flags_degeneracy():
                       a_minus=-np.sqrt(lam2_h), a_plus=np.sqrt(lam2_h),
                       delta=1.0, k=2)
     model = EnergyModel(spec, nl, TruncationMode.FULL)
-    result = morse_index(model, Field.zeros(spec), 4)
+    (result,) = morse_index(model, [Field.zeros(spec)])
     assert result.degenerate
     assert result.index == 1  # only the first eigenvalue is clearly negative
 
 
 def test_morse_index_widens_window():
-    # num_eigs = 1 cannot certify an index-2 point; the count must extend
-    spec = DomainSpec.interval(1.0, 31)
-    nl = cubic_nonlinearity(spec)
+    # the count has no window to widen: an eigenvalue window that started
+    # below 41 widened to at most 40 and reported 40 at both points
+    spec = DomainSpec.interval(1.0, 255)
+    nl = cubic_nonlinearity(spec, lam=(45 * np.pi) ** 2)
     model = EnergyModel(spec, nl, TruncationMode.FULL)
-    result = morse_index(model, Field.zeros(spec), 1)
-    assert result.index == 2
+    tol = 1e-6 * nl.scale
+    near = Field.from_callable(spec, lambda x: 1e-3 * np.sin(np.pi * x))
+    zero, varying = morse_index(model, [Field.zeros(spec), near])
+    assert zero.index == 45
+    dense = _dense_eigenvalues(spec, nl, near.values)
+    assert varying.index == np.count_nonzero(dense < -tol) > 40
 
 
 def test_morse_index_stable_under_refinement_interval():
@@ -144,8 +166,7 @@ def test_morse_index_stable_under_refinement_interval():
         full = EnergyModel(spec, nl, TruncationMode.FULL)
         plus_model = EnergyModel(spec, nl, TruncationMode.PLUS)
         plus = minimize(plus_model, initial_guess(plus_model, eigenpairs(spec, 1)[0]))
-        indices[n] = (morse_index(full, Field.zeros(spec), 4).index,
-                      morse_index(full, plus.u, 4).index)
+        indices[n] = tuple(r.index for r in morse_index(full, [Field.zeros(spec), plus.u]))
     assert indices[63] == indices[127] == (2, 0)
 
 
@@ -155,53 +176,53 @@ def test_morse_index_stable_under_refinement_square():
         spec = DomainSpec.rectangle(1.0, 1.0, n, n)
         nl = cubic_nonlinearity(spec)
         full = EnergyModel(spec, nl, TruncationMode.FULL)
-        indices[n] = morse_index(full, Field.zeros(spec), 5).index
+        indices[n] = morse_index(full, [Field.zeros(spec)])[0].index
     assert indices[31] == indices[63] == 3
+
+
+def _assert_counts_match_sparse(spec, nl, u_values, count):
+    """count_below at every probe shift below the last of the count smallest
+    eigenvalues of the n x n square, found by shift-invert Lanczos, equals
+    the count among them; returns them."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    n = spec.counts[0]
+    (hx, hy) = spec.spacings
+    T = sp.diags([2 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1])
+    A = sp.kron(T / hx**2, sp.identity(n)) + sp.kron(sp.identity(n), T / hy**2)
+    weights = nl.gprime(u_values)
+    L = (A - sp.diags(weights)).tocsc()
+    # A is positive definite, so the spectrum lies above -max(w)
+    expected = np.sort(spla.eigsh(L, k=count, sigma=-np.max(weights) - 1.0, which="LM",
+                                  return_eigenvectors=False))
+    shifts = _probe_shifts(expected)
+    shifts = shifts[shifts < expected[-1]]
+    got = count_below(spec, weights[None], shifts)[0]
+    assert np.array_equal(got, np.count_nonzero(expected[:, None] < shifts, axis=0))
+    return expected
 
 
 def test_square_morse_matches_sparse_oracle():
     # independent check of the clustered 2D spectrum at the origin
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    n = 31
-    spec = DomainSpec.rectangle(1.0, 1.0, n, n)
-    nl = cubic_nonlinearity(spec)
-    full = EnergyModel(spec, nl, TruncationMode.FULL)
-    result = morse_index(full, Field.zeros(spec), 5)
-    (hx, hy) = spec.spacings
-    T = sp.diags([2 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1])
-    A = sp.kron(T / hx**2, sp.identity(n)) + sp.kron(sp.identity(n), T / hy**2)
-    L = (A - sp.diags(nl.gprime(np.zeros(spec.size)))).tocsc()
-    expected = np.sort(spla.eigsh(L, k=len(result.eigenvalues),
-                                  sigma=-nl.gprime_max - 1.0, which="LM",
-                                  return_eigenvectors=False))
-    assert np.allclose(result.eigenvalues, expected, rtol=1e-8, atol=1e-7)
+    spec = DomainSpec.rectangle(1.0, 1.0, 31, 31)
+    _assert_counts_match_sparse(spec, cubic_nonlinearity(spec), np.zeros(spec.size), 6)
 
 
 def test_square_morse_iteration_matches_sparse_oracle():
-    # the origin takes the closed form, so check the iterative path on a
+    # the origin takes the closed form, so check the block recurrence on a
     # field with the square's symmetry, whose double eigenvalues stay double
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    n = 31
-    spec = DomainSpec.rectangle(1.0, 1.0, n, n)
+    spec = DomainSpec.rectangle(1.0, 1.0, 31, 31)
     nl = cubic_nonlinearity(spec)
-    full = EnergyModel(spec, nl, TruncationMode.FULL)
     u = eigenpairs(spec, 1)[0].phi * 4.0
-    result = morse_index(full, u, 6)
-    (hx, hy) = spec.spacings
-    T = sp.diags([2 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], [0, 1, -1])
-    A = sp.kron(T / hx**2, sp.identity(n)) + sp.kron(sp.identity(n), T / hy**2)
-    L = (A - sp.diags(nl.gprime(u.values))).tocsc()
-    expected = np.sort(spla.eigsh(L, k=len(result.eigenvalues),
-                                  sigma=-nl.gprime_max - 1.0, which="LM",
-                                  return_eigenvectors=False))
-    assert np.allclose(result.eigenvalues, expected, rtol=1e-8, atol=1e-7)
+    expected = _assert_counts_match_sparse(spec, nl, u.values, 7)
     assert np.isclose(expected[1], expected[2], rtol=1e-10)  # a double pair
+    _assert_counts_match_dense(spec, nl, u.values, 40)
 
 
 _SMALL_GRIDS = {"interval3": DomainSpec.interval(1.0, 3),
                 "interval5": DomainSpec.interval(1.0, 5),
+                "rect3x5": DomainSpec.rectangle(0.6, 1.0, 3, 5),
+                "rect5x3": DomainSpec.rectangle(1.0, 0.6, 5, 3),
                 "square3": DomainSpec.rectangle(1.0, 1.0, 3, 3),
                 "square5": DomainSpec.rectangle(1.0, 1.0, 5, 5)}
 
@@ -210,55 +231,55 @@ _SMALL_GRIDS = {"interval3": DomainSpec.interval(1.0, 3),
 @pytest.mark.parametrize("window", [1, 4, "widest"])
 @pytest.mark.parametrize("grid", sorted(_SMALL_GRIDS))
 def test_morse_eigenvalues_on_small_grids_match_dense(grid, window, field):
-    # blocks as large as the grid, and windows past it, on both the
-    # iterative path and the closed form at constant g'
+    # blocks as wide as the grid, on both the block recurrence and the
+    # closed form at constant g', probed around the window smallest
+    # eigenvalues (all of them for "widest")
     spec = _SMALL_GRIDS[grid]
     nl = cubic_nonlinearity(spec)
-    model = EnergyModel(spec, nl, TruncationMode.FULL)
-    num_eigs = min(40, spec.size) if window == "widest" else window
     if field == "random":
         values = np.random.default_rng(29).uniform(nl.a_minus, nl.a_plus, spec.size)
     else:
         values = np.full(spec.size, 1e-7)
-    got = np.array(_smallest_eigenvalues(model, values, num_eigs))
-    expected = _dense_eigenvalues(spec, nl, values, num_eigs)
-    assert len(got) == min(num_eigs, spec.size)
-    # the stopping rule bounds each residual, and so each eigenvalue error
-    assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+    _assert_counts_match_dense(spec, nl, values, None if window == "widest" else window)
 
 
-def test_morse_iteration_cap_raises(p1, monkeypatch):
-    monkeypatch.setattr(analysis, "_EIG_ITERS", 1)
-    model = p1["models"][TruncationMode.FULL]
-    with pytest.raises(EigenIterationError):
-        morse_index(model, p1["star"].u, p1["nl"].k + 2)
+def test_morse_singular_pivot_raises():
+    # w_1 = 2/h^2 makes the first pivot 2/h^2 - w_1 - 0 exactly zero
+    spec = DomainSpec.interval(1.0, 3)
+    (h,) = spec.spacings
+    with pytest.raises(SingularPivotError):
+        count_below(spec, np.array([[2.0 / h**2, 0.0, 0.0]]), np.array([0.0]))
 
 
 def test_morse_work_count(p1, monkeypatch):
-    # deterministic guard against per-column loops: one stencil apply per
-    # block step, none at the origin, where the spectrum is closed-form
-    calls = []
-    stencil = analysis.neg_laplacian_values
-    monkeypatch.setattr(analysis, "neg_laplacian_values",
-                        lambda spec, v: calls.append(v.shape) or stencil(spec, v))
+    # deterministic guard against per-point loops: a report counts all four
+    # points in one call, and counting applies no stencil
     model = p1["models"][TruncationMode.FULL]
-    zero = Field.zeros(p1["spec"])
-    for u in (zero, p1["minus"].u, p1["plus"].u, p1["star"].u):
-        calls.clear()
-        morse_index(model, u, p1["nl"].k + 2)
-        if u is zero:
-            assert calls == []
-        else:
-            assert 0 < len(calls) <= 40
-            assert all(len(shape) == 2 for shape in calls)
+    calls = []
+    count = analysis.morse_index
+    monkeypatch.setattr(analysis, "morse_index",
+                        lambda model, fields, tol: calls.append(len(fields))
+                        or count(model, fields, tol))
+    condition = validate_condition_g(p1["nl"], p1["spec"])
+    report = assemble_report(model, condition, p1["minus"], p1["plus"], p1["star"])
+    assert calls == [4]
+    assert [p.morse_index for p in report.points] == [0, 0, 1, 2]
+
+    def no_stencil(spec, values):
+        raise AssertionError("the inertia count applied the stencil")
+    for module in (analysis, grid):
+        monkeypatch.setattr(module, "neg_laplacian_values", no_stencil)
+    points = [p.u for p in report.points]
+    assert [r.index for r in count(model, points)] == [0, 0, 1, 2]
 
 
-@pytest.mark.parametrize("num_eigs, tol", [(4, -100.0), (4, 0.0), (4, float("nan")),
-                                           (4, float("inf")), (0, None), (-5, None)])
-def test_morse_index_rejects_bad_window(p1, num_eigs, tol):
+@pytest.mark.parametrize("points, tol", [(4, -100.0), (4, 0.0), (4, float("nan")),
+                                         (4, float("inf"))])
+def test_morse_index_rejects_bad_window(p1, points, tol):
+    # tol sets the window [-tol, tol] that marks a point degenerate
     model = p1["models"][TruncationMode.FULL]
     with pytest.raises(ValueError):
-        morse_index(model, Field.zeros(p1["spec"]), num_eigs, tol)
+        morse_index(model, [Field.zeros(p1["spec"])] * points, tol)
 
 
 def test_assemble_report_p1(p1_report):

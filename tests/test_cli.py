@@ -98,7 +98,6 @@ _VALID_SETTINGS = {
     "mountainpass.perturbation": "0.2",
     "mountainpass.collapse_tol": "1e-5",
     "mountainpass.restart_limit": "2",
-    "morse.num_eigs": "6",
     "morse.tol": "1e-5",
     "validate.samples": "256",
     "eigen.count": "4",
@@ -111,7 +110,7 @@ _VALID_SETTINGS = {
 
 
 def test_valid_settings_cover_the_schema():
-    assert len(_SCHEMA) == 31
+    assert len(_SCHEMA) == 30
     assert set(_VALID_SETTINGS) == set(_SCHEMA)
 
 
@@ -290,19 +289,24 @@ def test_solve_command_large_interval(tmp_path, capsys):
     assert [p["morse_index"] for p in report["points"]] == [0, 0, 1, 2]
 
 
-def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys):
-    # Poisson solves are direct, so the old tolerance key is unknown now
+@pytest.mark.parametrize("line", ["poisson.tol = 1e-10", "morse.num_eigs = 0"])
+def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys, line):
+    # Poisson solves are direct and Morse indices are exact counts, so the
+    # old tolerance and eigenvalue-window keys are unknown now
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("preset = p1-interval\ngrid.n = 31\npoisson.tol = 1e-10\n")
+    cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "unknown key 'poisson.tol'" in capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["descent.armijo_c = 2",
                                   "mountainpass.path_count = 4",
                                   "mountainpass.max_iters = -1",
                                   "morse.tol = -100", "morse.tol = 0",
-                                  "morse.num_eigs = 0",
+                                  "mountainpass.perturbation = nan",
+                                  "mountainpass.collapse_tol = nan",
+                                  "mountainpass.collapse_tol = -1",
                                   "oracle.slope_step = 0", "oracle.slope_step = -0.5",
                                   "oracle.slope_max = -60", "oracle.steps = 512",
                                   "validate.samples = 50", "eigen.count = 0",

@@ -4,7 +4,7 @@ import pytest
 from trisol.grid import (DomainMismatchError, DomainSpec, Field,
                          apply_neg_laplacian, h1_seminorm_sq_values,
                          inner_product, neg_laplacian_values, quadrature,
-                         solve_poisson, solve_shifted_values)
+                         solve_poisson, solve_poisson_values)
 
 
 def interval(n=31, length=1.0):
@@ -215,8 +215,8 @@ def test_h1_stack_equals_rows_exactly(spec):
         assert value == h1_seminorm_sq_values(spec, row) == _h1_reference(spec, row)
 
 
-def _shifted_reference(spec, rhs, shift):
-    """One field's shifted solve as the descent and path search have always
+def _poisson_reference(spec, rhs):
+    """One field's Poisson solve as the descent and path search have always
     done it: DST-I along the last axis, then a transpose, per pass."""
     def dst(a):
         for _ in range(a.ndim):
@@ -230,7 +230,7 @@ def _shifted_reference(spec, rhs, shift):
             for n, h in zip(spec.counts, spec.spacings)]
     symbol = sum(np.meshgrid(*lams, indexing="ij"))
     coeffs = dst(rhs.reshape(spec.counts))
-    coeffs *= np.prod([2.0 / (n + 1) for n in spec.counts]) / (symbol + shift)
+    coeffs *= np.prod([2.0 / (n + 1) for n in spec.counts]) / symbol
     return dst(coeffs).ravel()
 
 
@@ -238,18 +238,16 @@ def _shifted_reference(spec, rhs, shift):
                                   DomainSpec.rectangle(1.0, 2.0, 23, 11)],
                          ids=["interval31", "square15", "rect23x11"])
 def test_operator_stack_equals_rows_exactly(spec):
-    # bit-for-bit: the Morse eigensolver applies both to a stack of rows,
-    # while the descent and path search apply them to one field at a time
+    # bit-for-bit: a stack of rows gets each row's one-field result
     rng = np.random.default_rng(23)
     rows = rng.standard_normal((5, spec.size))
     stencil = neg_laplacian_values(spec, rows)
     assert stencil.shape == rows.shape
     for row, image in zip(rows, stencil):
         assert np.array_equal(image, neg_laplacian_values(spec, row))
-    for shift in (0.0, 3.5):
-        solved = solve_shifted_values(spec, rows, shift)
-        assert solved.shape == rows.shape
-        for row, image in zip(rows, solved):
-            single = solve_shifted_values(spec, row, shift)
-            assert np.array_equal(image, single)
-            assert np.array_equal(single, _shifted_reference(spec, row, shift))
+    solved = solve_poisson_values(spec, rows)
+    assert solved.shape == rows.shape
+    for row, image in zip(rows, solved):
+        single = solve_poisson_values(spec, row)
+        assert np.array_equal(image, single)
+        assert np.array_equal(single, _poisson_reference(spec, row))

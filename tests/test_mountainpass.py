@@ -157,7 +157,10 @@ def test_mp_options_validation():
     # the path search shares the descent's checks on its line-search fields
     for bad in ({"path_count": 4}, {"max_iters": 0}, {"grad_tol": 0},
                 {"initial_step": 0}, {"armijo_c": 1.0},
-                {"initial_step": float("inf")}, {"grad_tol": float("nan")}):
+                {"initial_step": float("inf")}, {"grad_tol": float("nan")},
+                {"perturbation": float("nan")}, {"perturbation": float("inf")},
+                {"collapse_tol": float("nan")}, {"collapse_tol": -1.0},
+                {"collapse_tol": 0.0}):
         with pytest.raises(ValueError):
             MPOptions(**bad)
     # keyword-only: inheritance reorders fields, so a positional value

@@ -33,7 +33,6 @@ def test_constructor_validation():
 def test_scale_is_sup_of_g(nl):
     # for the cubic the sup of |g| on the root interval is 40 sqrt(20)
     assert nl.scale == pytest.approx(40.0 * np.sqrt(20.0), rel=1e-6)
-    assert nl.gprime_max == pytest.approx(60.0, rel=1e-12)
 
 
 def test_truncate_outside_support_is_zero(nl):
