@@ -157,12 +157,11 @@ def neg_laplacian_values(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
 
     Per axis (2 u_i - u_{i-1} - u_{i+1}) / h^2, with the missing neighbors
     of boundary-adjacent nodes taken as the zero Dirichlet data.  values is
-    one field (size,) or a stack (m, size); the result has the same shape.
+    one field (size,); so is the result.
     """
-    stack = values.shape[:-1]
-    v = values.reshape(stack + domain.counts)
+    v = values.reshape(domain.counts)
     out = None
-    for axis, h in enumerate(domain.spacings, start=len(stack)):
+    for axis, h in enumerate(domain.spacings):
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
         term = 2.0 * v
@@ -170,7 +169,7 @@ def neg_laplacian_values(domain: DomainSpec, values: np.ndarray) -> np.ndarray:
         term[lo] -= v[hi]
         term /= h * h
         out = term if out is None else np.add(out, term, out=out)
-    return out.reshape(values.shape)
+    return out.ravel()
 
 
 def apply_neg_laplacian(domain: DomainSpec, u: Field) -> Field:
@@ -295,19 +294,19 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     return counts
 
 
-def _dst(a: np.ndarray, ndim: int) -> np.ndarray:
-    """Unnormalized DST-I over the last ndim axes, X_k = sum_j a_j sin(pi j k / (n+1)).
+def _dst(a: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I over every axis, X_k = sum_j a_j sin(pi j k / (n+1)).
 
     Each pass is the real FFT of the odd extension [0, a, 0, -reversed a]
-    along the last axis, then a rotation of those axes so the next pass
+    along the last axis, then a rotation of the axes so the next pass
     takes the next one.  Applying it twice multiplies by (n+1)/2 per axis.
     """
-    for _ in range(ndim):
+    for _ in range(a.ndim):
         n = a.shape[-1]
         ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
         ext[..., 1:n + 1] = a
         ext[..., n + 2:] = -a[..., ::-1]
-        a = np.moveaxis(-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag, -1, -ndim)
+        a = np.moveaxis(-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag, -1, 0)
     return a
 
 
@@ -315,13 +314,12 @@ def solve_poisson_values(domain: DomainSpec, rhs: np.ndarray) -> np.ndarray:
     """Direct solve of -lap w = rhs on raw arrays, exact up to rounding.
 
     A sine transform, a division by the symbol, and the inverse transform.
-    rhs is one field (size,) or a stack (m, size), solved row by row with
-    the same arithmetic.
+    rhs is one field (size,); so is the result.
     """
     scale = math.prod(2.0 / (n + 1) for n in domain.counts)
-    coeffs = _dst(rhs.reshape(rhs.shape[:-1] + domain.counts), domain.ndim)
+    coeffs = _dst(rhs.reshape(domain.counts))
     coeffs *= scale / _symbol(domain)
-    return _dst(coeffs, domain.ndim).reshape(rhs.shape)
+    return _dst(coeffs).ravel()
 
 
 def solve_poisson(domain: DomainSpec, rhs: Field) -> Field:

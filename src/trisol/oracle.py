@@ -18,6 +18,7 @@ from .nonlinearity import Nonlinearity
 
 RK4_STEPS = 4096  # default steps per trajectory
 MIN_RK4_STEPS = 1000
+_LANES = 64  # sub-brackets per multisection round; a sweep of 65 lanes costs about one shot
 
 
 @dataclass(eq=False)
@@ -121,32 +122,30 @@ def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
 
 def find_branch(nl: Nonlinearity, length: float,
                 bracket: tuple[float, float], steps: int = RK4_STEPS) -> ShotResult:
-    """Bisect the endpoint map inside a sign-change bracket.
+    """Multisect the endpoint map inside a sign-change bracket.
 
-    Converges the slope until |endpoint| <= 1e-12 * max(1, amplitude); the
-    returned trajectory solves the boundary value problem up to integration
-    error.
+    Each round sweeps _LANES + 1 equally spaced slopes of the bracket and
+    keeps the sub-bracket of the first sign change.  Rounds stop when an
+    endpoint is exactly 0 or the bracket is at most _LANES roundings of its
+    slope wide; the slope of smallest |endpoint| seen, which is then at the
+    rounding floor of the endpoint map, is shot once and returned.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    shot_lo = shoot(nl, length, lo, steps)
-    shot_hi = shoot(nl, length, hi, steps)
-    if shot_lo.blown_up or shot_hi.blown_up:
+    ends, blown = sweep(nl, length, np.array([lo, hi]), steps)
+    if blown.any():
         raise ValueError("bracket endpoint blew up; shrink the bracket")
-    if shot_lo.endpoint * shot_hi.endpoint > 0.0:
+    if ends[0] * ends[1] > 0.0:
         raise ValueError(
             f"no sign change on [{lo}, {hi}]: endpoints "
-            f"{shot_lo.endpoint:.3e}, {shot_hi.endpoint:.3e}")
-    best = shot_lo if abs(shot_lo.endpoint) < abs(shot_hi.endpoint) else shot_hi
-    for _ in range(200):
-        amplitude = float(np.max(np.abs(best.values)))
-        if abs(best.endpoint) <= 1e-12 * max(1.0, amplitude):
-            return best
-        mid = 0.5 * (lo + hi)
-        shot_mid = shoot(nl, length, mid, steps)
-        if abs(shot_mid.endpoint) < abs(best.endpoint):
-            best = shot_mid
-        if shot_lo.endpoint * shot_mid.endpoint <= 0.0:
-            hi, shot_hi = mid, shot_mid
-        else:
-            lo, shot_lo = mid, shot_mid
-    return best
+            f"{ends[0]:.3e}, {ends[1]:.3e}")
+    k = np.argmin(np.abs(ends))
+    best, best_end = (lo, hi)[k], abs(ends[k])
+    while best_end > 0.0 and abs(hi - lo) > _LANES * np.spacing(max(abs(lo), abs(hi))):
+        slopes = np.linspace(lo, hi, _LANES + 1)
+        endpoints, _ = sweep(nl, length, slopes, steps)
+        k = np.argmin(np.abs(endpoints))
+        if abs(endpoints[k]) < best_end:
+            best, best_end = slopes[k], abs(endpoints[k])
+        i = np.flatnonzero(endpoints[:-1] * endpoints[1:] <= 0.0)[0]
+        lo, hi = slopes[i], slopes[i + 1]
+    return shoot(nl, length, best, steps)

@@ -1,8 +1,4 @@
-"""The narrative demos run to completion.
-
-07_shooting_oracle.py is left out: it takes about half a minute, and the
-oracle tests and acceptance criterion 2 run the same code.
-"""
+"""The narrative demos run to completion."""
 
 import os
 import subprocess
@@ -18,7 +14,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("name", ["01_grid_and_poisson.py", "02_spectrum.py",
                                   "03_truncation_and_energy.py", "04_minimizers.py",
-                                  "05_mountain_pass.py", "06_full_pipeline.py"])
+                                  "05_mountain_pass.py", "06_full_pipeline.py",
+                                  "07_shooting_oracle.py"])
 def test_demo_runs(tmp_path, name):
     src = str(Path(trisol.__file__).resolve().parents[1])
     env = {**os.environ,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trisol import oracle
 from trisol.grid import DomainSpec
 from trisol.nonlinearity import TruncationMode, antiderivative
 from trisol.oracle import find_branch, shoot, sign_change_brackets, sweep
@@ -98,9 +99,26 @@ def test_find_branch_step_halving_consistency(nl, branch_42):
     assert coarse.slope == pytest.approx(fine.slope, abs=1e-8)
 
 
-def test_find_branch_rejects_bad_bracket(nl):
-    with pytest.raises(ValueError, match="sign change"):
-        find_branch(nl, 1.0, (1.0, 2.0), 2048)
+def test_find_branch_work_count(nl, monkeypatch):
+    # refinement runs on unrecorded sweeps, one per multisection round; only
+    # the branch found is shot with its trajectory recorded
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    for name in ("sweep", "shoot"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    find_branch(nl, 1.0, (42.0, 42.41), 4096)
+    assert calls.count("shoot") == 1
+    assert calls.count("sweep") <= 10
+
+
+@pytest.mark.parametrize("bracket, match", [((1.0, 2.0), "sign change"),
+                                            ((45.0, 50.0), "blew up")],
+                         ids=["no-sign-change", "blown-end"])
+def test_find_branch_rejects_bad_bracket(nl, bracket, match):
+    with pytest.raises(ValueError, match=match):
+        find_branch(nl, 1.0, bracket, 2048)
 
 
 def test_values_at_grid_nodes(branch_42):
