@@ -25,16 +25,15 @@ print(f"slope sweep over [-50, 50]: {len(brackets)} nontrivial branches, "
       f"{int(blown.sum())} trajectories blew up")
 
 print("\nbranches (negative mirror images included):")
-for bracket in brackets:
-    branch = find_branch(nl, length, bracket, 4096)
+branches = find_branch(nl, length, brackets, 4096)
+for branch in branches:
     interior = branch.values[1:-1]
     crossings = int(np.sum(interior[:-1] * interior[1:] < 0.0))
     print(f"  slope {branch.slope:+10.5f}  amplitude "
           f"{np.max(np.abs(branch.values)):7.4f}  interior sign changes {crossings}")
 
 print("\ngrid convergence of the positive solution toward the oracle branch:")
-one_sign = max(brackets, key=lambda br: br[0])
-oracle = find_branch(nl, length, one_sign, 4096)
+oracle = max(branches, key=lambda branch: branch.slope)
 for n in (63, 127, 255):
     spec = DomainSpec.interval(length, n)
     nl_n = cubic_nonlinearity(spec)

@@ -25,7 +25,8 @@ from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions, PathCollapseError
 from .nonlinearity import MIN_VALIDATE_SAMPLES, Nonlinearity, validate_condition_g
-from .oracle import MIN_RK4_STEPS, RK4_STEPS, find_branch, sign_change_brackets, sweep
+from .oracle import (MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, find_branch,
+                     sign_change_brackets, sweep)
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
 from .spectrum import MIN_EIGEN_COUNT, eigenpairs
@@ -154,6 +155,9 @@ class RunConfig:
         if not (np.all(np.isfinite([lo, hi, step])) and lo < hi and step > 0):
             raise ConfigError("oracle slopes need finite slope_min < slope_max "
                               f"and slope_step > 0, got {lo}, {hi}, {step}")
+        if (count := (hi - lo) / step + 1) > MAX_SWEEP_LANES:  # counted, not allocated
+            raise ConfigError(f"an oracle sweep of {count:.3g} slopes is more than "
+                              f"{MAX_SWEEP_LANES}; raise oracle.slope_step")
         return cls(settings=settings, preset=preset_name,
                    out_requested=out is not None or "output.dir" in file_entries)
 
@@ -308,8 +312,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     endpoints, blown = sweep(nl, length, slopes, steps)
     brackets = sign_change_brackets(slopes, endpoints, blown)
     branches = []
-    for bracket in brackets:
-        shot = find_branch(nl, length, bracket, steps)
+    for shot in find_branch(nl, length, brackets, steps):
         interior = shot.values[1:-1]
         crossings = int(np.sum(interior[:-1] * interior[1:] < 0.0))
         branches.append({

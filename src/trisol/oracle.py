@@ -18,6 +18,7 @@ from .nonlinearity import Nonlinearity
 
 RK4_STEPS = 4096  # default steps per trajectory
 MIN_RK4_STEPS = 1000
+MAX_SWEEP_LANES = 1_000_000  # slopes in one command-line sweep
 _LANES = 64  # sub-brackets per multisection round; a sweep of 65 lanes costs about one shot
 
 
@@ -53,7 +54,7 @@ class ShotResult:
 
 def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
                steps: int, record: bool):
-    """Integrate all slopes at once; returns (endpoints, blown, trajectory)."""
+    """Integrate all slopes at once; returns (endpoints, blown, values, derivatives)."""
     if steps < MIN_RK4_STEPS:
         raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
@@ -65,16 +66,18 @@ def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
     dtraj = np.zeros((steps + 1, slopes.size)) if record else None
     if record:
         dtraj[0] = p
-    for i in range(steps):     # u' = p, p' = -g(u)
-        k1u, k1p = p, -nl.g(u)
-        k2u, k2p = p + 0.5 * h * k1p, -nl.g(u + 0.5 * h * k1u)
-        k3u, k3p = p + 0.5 * h * k2p, -nl.g(u + 0.5 * h * k2u)
-        k4u, k4p = p + h * k3p, -nl.g(u + h * k3u)
-        u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        p_next = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        active = ~blown
-        u = np.where(active, u_next, u)
-        p = np.where(active, p_next, p)
+    for i in range(steps):     # u' = p, p' = -g(u), with g1..g4 = -k1p..-k4p
+        g1 = nl.g(u)
+        k2u = p - 0.5 * h * g1
+        g2 = nl.g(u + 0.5 * h * p)
+        k3u = p - 0.5 * h * g2
+        g3 = nl.g(u + 0.5 * h * k2u)
+        k4u = p - h * g3
+        g4 = nl.g(u + h * k3u)
+        u_next = u + (h / 6.0) * (p + 2.0 * k2u + 2.0 * k3u + k4u)
+        p_next = p - (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        u = np.where(blown, u, u_next)
+        p = np.where(blown, p, p_next)
         blown |= np.abs(u) > cap
         if record:
             traj[i + 1] = u
@@ -82,14 +85,19 @@ def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
     return u, blown, traj, dtraj
 
 
+def _shots(nl: Nonlinearity, length: float, slopes: np.ndarray,
+           steps: int) -> list[ShotResult]:
+    """Integrate every slope in one recorded sweep; one ShotResult per slope."""
+    endpoints, blown, traj, dtraj = _rk4_sweep(nl, length, slopes, steps, record=True)
+    xs = np.linspace(0.0, length, steps + 1)
+    return [ShotResult(slope=float(s), endpoint=float(endpoints[j]), xs=xs,
+                       values=traj[:, j].copy(), derivatives=dtraj[:, j].copy(),
+                       blown_up=bool(blown[j])) for j, s in enumerate(slopes)]
+
+
 def shoot(nl: Nonlinearity, length: float, slope: float, steps: int) -> ShotResult:
     """Integrate one trajectory with u(0) = 0 and u'(0) = slope."""
-    endpoints, blown, traj, dtraj = _rk4_sweep(
-        nl, length, np.array([slope], dtype=float), steps, record=True)
-    xs = np.linspace(0.0, length, steps + 1)
-    return ShotResult(slope=float(slope), endpoint=float(endpoints[0]),
-                      xs=xs, values=traj[:, 0].copy(),
-                      derivatives=dtraj[:, 0].copy(), blown_up=bool(blown[0]))
+    return _shots(nl, length, np.array([slope], dtype=float), steps)[0]
 
 
 def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
@@ -120,32 +128,40 @@ def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
     return out
 
 
-def find_branch(nl: Nonlinearity, length: float,
-                bracket: tuple[float, float], steps: int = RK4_STEPS) -> ShotResult:
-    """Multisect the endpoint map inside a sign-change bracket.
+def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, float]],
+                steps: int = RK4_STEPS) -> list[ShotResult]:
+    """Multisect the endpoint map inside every sign-change bracket at once.
 
-    Each round sweeps _LANES + 1 equally spaced slopes of the bracket and
-    keeps the sub-bracket of the first sign change.  Rounds stop when an
-    endpoint is exactly 0 or the bracket is at most _LANES roundings of its
-    slope wide; the slope of smallest |endpoint| seen, which is then at the
-    rounding floor of the endpoint map, is shot once and returned.
+    Returns one ShotResult per bracket, in order; a blown end or a missing
+    sign change raises ValueError for the first bracket that has one.  Each
+    round sweeps _LANES + 1 equally spaced slopes of every bracket still
+    refining in one `sweep` and keeps each sub-bracket of the first sign
+    change, until an endpoint is 0 or the bracket is _LANES roundings of its
+    slope wide.  The slopes of smallest |endpoint| are recorded in one sweep.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    ends, blown = sweep(nl, length, np.array([lo, hi]), steps)
-    if blown.any():
-        raise ValueError("bracket endpoint blew up; shrink the bracket")
-    if ends[0] * ends[1] > 0.0:
-        raise ValueError(
-            f"no sign change on [{lo}, {hi}]: endpoints "
-            f"{ends[0]:.3e}, {ends[1]:.3e}")
-    k = np.argmin(np.abs(ends))
-    best, best_end = (lo, hi)[k], abs(ends[k])
-    while best_end > 0.0 and abs(hi - lo) > _LANES * np.spacing(max(abs(lo), abs(hi))):
-        slopes = np.linspace(lo, hi, _LANES + 1)
-        endpoints, _ = sweep(nl, length, slopes, steps)
-        k = np.argmin(np.abs(endpoints))
-        if abs(endpoints[k]) < best_end:
-            best, best_end = slopes[k], abs(endpoints[k])
-        i = np.flatnonzero(endpoints[:-1] * endpoints[1:] <= 0.0)[0]
-        lo, hi = slopes[i], slopes[i + 1]
-    return shoot(nl, length, best, steps)
+    if len(brackets) == 0:
+        return []
+    if np.ndim(brackets) != 2 or np.shape(brackets)[1] != 2:
+        raise ValueError(f"brackets must be a list of (lo, hi) pairs, got {brackets!r}")
+    lo, hi = np.array(brackets, dtype=float).T.copy()
+    ends, blown = (a.reshape(2, -1) for a in sweep(nl, length, np.concatenate([lo, hi]), steps))
+    for b in range(len(lo)):
+        if blown[:, b].any():
+            raise ValueError("bracket endpoint blew up; shrink the bracket")
+        if ends[0, b] * ends[1, b] > 0.0:
+            raise ValueError(f"no sign change on [{lo[b]}, {hi[b]}]: endpoints "
+                             f"{ends[0, b]:.3e}, {ends[1, b]:.3e}")
+    best = np.where(np.abs(ends[0]) <= np.abs(ends[1]), lo, hi)
+    best_end = np.min(np.abs(ends), axis=0)
+    live = range(len(lo))
+    while live := [b for b in live if best_end[b] > 0.0 and abs(hi[b] - lo[b])
+                   > _LANES * np.spacing(max(abs(lo[b]), abs(hi[b])))]:
+        slopes = np.linspace(lo[live], hi[live], _LANES + 1, axis=1)
+        endpoints = sweep(nl, length, slopes.ravel(), steps)[0].reshape(slopes.shape)
+        for b, s, e in zip(live, slopes, endpoints):
+            k = np.argmin(np.abs(e))
+            if abs(e[k]) < best_end[b]:
+                best[b], best_end[b] = s[k], abs(e[k])
+            i = np.flatnonzero(e[:-1] * e[1:] <= 0.0)[0]
+            lo[b], hi[b] = s[i], s[i + 1]
+    return _shots(nl, length, best, steps)

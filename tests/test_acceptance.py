@@ -78,7 +78,7 @@ def test_criterion_2_oracle_equivalence():
 
     # the positive one-sign branch is the comparison target
     positive_bracket = max(brackets, key=lambda br: br[0])
-    branch = find_branch(nl, length, positive_bracket, steps)
+    (branch,) = find_branch(nl, length, [positive_bracket], steps)
     assert np.all(branch.values[1:-1] > 0.0)
     amplitude = float(np.max(branch.values))
 

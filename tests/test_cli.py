@@ -309,6 +309,7 @@ def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys, line):
                                   "mountainpass.collapse_tol = -1",
                                   "oracle.slope_step = 0", "oracle.slope_step = -0.5",
                                   "oracle.slope_max = -60", "oracle.steps = 512",
+                                  "oracle.slope_step = 1e-15",
                                   "validate.samples = 50", "eigen.count = 0",
                                   "descent.initial_step = inf", "descent.grad_tol = nan"])
 def test_out_of_range_option_is_exit_2(tmp_path, capsys, line):

@@ -17,8 +17,49 @@ def nl():
 
 @pytest.fixture(scope="module")
 def branch_42(nl):
-    """The branch in the slope bracket (42.0, 42.41) at 4096 steps, shot once."""
-    return find_branch(nl, 1.0, (42.0, 42.41), 4096)
+    """The branch in the slope bracket (42.0, 42.41) at 4096 steps and its
+    mirror in (-42.41, -42.0), refined together."""
+    return find_branch(nl, 1.0, [(42.0, 42.41), (-42.41, -42.0)], 4096)
+
+
+def _reference_rk4(nl, length, slopes, steps, record):
+    """Reference RK4 loop that negates k1p..k4p; `_rk4_sweep` subtracts
+    g1..g4 instead and must give the same bits."""
+    cap = 10.0 * max(nl.a_plus, -nl.a_minus)
+    h = length / steps
+    u = np.zeros_like(slopes)
+    p = np.array(slopes, dtype=float)
+    blown = np.zeros(slopes.shape, dtype=bool)
+    traj = np.zeros((steps + 1, slopes.size)) if record else None
+    dtraj = np.zeros((steps + 1, slopes.size)) if record else None
+    if record:
+        dtraj[0] = p
+    for i in range(steps):
+        k1u, k1p = p, -nl.g(u)
+        k2u, k2p = p + 0.5 * h * k1p, -nl.g(u + 0.5 * h * k1u)
+        k3u, k3p = p + 0.5 * h * k2p, -nl.g(u + 0.5 * h * k2u)
+        k4u, k4p = p + h * k3p, -nl.g(u + h * k3u)
+        u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        p_next = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        active = ~blown
+        u = np.where(active, u_next, u)
+        p = np.where(active, p_next, p)
+        blown |= np.abs(u) > cap
+        if record:
+            traj[i + 1] = u
+            dtraj[i + 1] = p
+    return u, blown, traj, dtraj
+
+
+@pytest.mark.parametrize("steps", [1000, 2048])
+@pytest.mark.parametrize("record", [False, True], ids=["sweep", "recorded"])
+def test_rk4_step_is_bit_identical_to_reference(nl, steps, record):
+    slopes = np.array([-50.0, -7.0, 0.0, 1e-6, 30.0, 42.4, 50.0])
+    got = oracle._rk4_sweep(nl, 1.0, slopes, steps, record)
+    want = _reference_rk4(nl, 1.0, slopes, steps, record)
+    assert want[1].any() and not want[1].all()  # blown and finite lanes both
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(g, w)
 
 
 def test_zero_slope_stays_at_equilibrium(nl):
@@ -77,7 +118,7 @@ def test_find_branch_one_sign_solution(nl):
     endpoints, blown = sweep(nl, 1.0, slopes, 4096)
     brackets = sign_change_brackets(slopes, endpoints, blown)
     assert brackets
-    branch = find_branch(nl, 1.0, brackets[0], 4096)
+    (branch,) = find_branch(nl, 1.0, brackets[:1], 4096)
     amplitude = np.max(np.abs(branch.values))
     assert abs(branch.endpoint) <= 1e-12 * max(1.0, amplitude)
     interior = branch.values[1:-1]
@@ -85,45 +126,78 @@ def test_find_branch_one_sign_solution(nl):
     assert amplitude < RT60
 
 
-def test_find_branch_mirror(nl, branch_42):
-    pos = branch_42
-    neg = find_branch(nl, 1.0, (-42.41, -42.0), 4096)
+def test_find_branch_mirror(branch_42):
+    pos, neg = branch_42
     assert neg.slope == pytest.approx(-pos.slope, abs=1e-9)
     assert np.max(np.abs(pos.values + neg.values)) <= 1e-9
 
 
 def test_find_branch_step_halving_consistency(nl, branch_42):
-    coarse = branch_42
-    fine = find_branch(nl, 1.0, (42.0, 42.41), 8192)
+    coarse = branch_42[0]
+    (fine,) = find_branch(nl, 1.0, [(42.0, 42.41)], 8192)
     assert np.max(np.abs(coarse.values[::2] - fine.values[::4])) <= 1e-9
     assert coarse.slope == pytest.approx(fine.slope, abs=1e-8)
 
 
-def test_find_branch_work_count(nl, monkeypatch):
-    # refinement runs on unrecorded sweeps, one per multisection round; only
-    # the branch found is shot with its trajectory recorded
+def test_find_branch_batched_equals_single(nl):
+    brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4)]
+    batched = find_branch(nl, 1.0, brackets, 2048)
+    single = [find_branch(nl, 1.0, [bracket], 2048)[0] for bracket in brackets]
+    for got, want in zip(batched, single, strict=True):
+        assert got.slope == want.slope and got.endpoint == want.endpoint
+        assert got.blown_up == want.blown_up
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.derivatives, want.derivatives)
+
+
+def _count_integrations(monkeypatch):
+    """Record the `record` flag of every RK4 pass, and "shoot" per shot."""
     calls = []
+    rk4, shot = oracle._rk4_sweep, oracle.shoot
 
-    def counted(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
-    for name in ("sweep", "shoot"):
-        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
-    find_branch(nl, 1.0, (42.0, 42.41), 4096)
-    assert calls.count("shoot") == 1
-    assert calls.count("sweep") <= 10
+    def counted(nl, length, slopes, steps, record):
+        calls.append(record)
+        return rk4(nl, length, slopes, steps, record)
+    monkeypatch.setattr(oracle, "_rk4_sweep", counted)
+    monkeypatch.setattr(oracle, "shoot",
+                        lambda *args: calls.append("shoot") or shot(*args))
+    return calls
 
 
-@pytest.mark.parametrize("bracket, match", [((1.0, 2.0), "sign change"),
-                                            ((45.0, 50.0), "blew up")],
-                         ids=["no-sign-change", "blown-end"])
-def test_find_branch_rejects_bad_bracket(nl, bracket, match):
+def test_find_branch_work_count(nl, monkeypatch):
+    # every bracket is refined in the same unrecorded sweep each round; the
+    # branches found are integrated together in one recorded sweep
+    calls = _count_integrations(monkeypatch)
+    brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4), (-35.4, -35.3)]
+    assert len(find_branch(nl, 1.0, brackets, 4096)) == 4
+    assert "shoot" not in calls
+    assert len(calls) <= 10
+    assert calls.count(True) == 1
+
+
+def test_find_branch_of_no_brackets_integrates_nothing(nl, monkeypatch):
+    calls = _count_integrations(monkeypatch)
+    assert find_branch(nl, 1.0, [], 4096) == []
+    assert calls == []
+
+
+@pytest.mark.parametrize("brackets, match", [
+    ([(1.0, 2.0)], "sign change"),
+    ([(45.0, 50.0)], "blew up"),
+    ([(42.0, 42.41), (1.0, 2.0)], "sign change on \\[1.0, 2.0\\]"),
+    ([(1.0, 2.0), (45.0, 50.0)], "sign change"),
+    ([(45.0, 50.0), (1.0, 2.0)], "blew up"),
+    ((42.0, 42.41), "list of \\(lo, hi\\) pairs"),
+], ids=["no-sign-change", "blown-end", "second-bad", "first-of-two-bad", "blown-first",
+        "bare-pair"])
+def test_find_branch_rejects_bad_bracket(nl, brackets, match):
     with pytest.raises(ValueError, match=match):
-        find_branch(nl, 1.0, bracket, 2048)
+        find_branch(nl, 1.0, brackets, 2048)
 
 
 def test_values_at_grid_nodes(branch_42):
     spec = DomainSpec.interval(1.0, 63)
-    branch = branch_42
+    branch = branch_42[0]
     on_grid = branch.values_at(spec)
     assert on_grid.shape == (63,)
     xs = spec.axes()[0]
