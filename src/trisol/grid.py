@@ -248,17 +248,23 @@ class SingularPivotError(RuntimeError):
 def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of -lap - diag(w) below each shift, per row w.
 
-    weights is a stack (m, size) and shifts a 1D array (k,); the result is
-    an (m, k) integer array.  A constant row shifts the stencil's spectrum,
-    which the symbol gives in closed form.  Every other row is counted by
-    Sylvester's law of inertia: the block LDL^T factorization of
-    -lap - diag(w) - s steps along the longer axis, with blocks T_i as wide
-    as the shorter one, and its pivots D_1 = T_1, D_{i+1} = T_{i+1} -
-    h^-4 D_i^{-1} together have as many negative eigenvalues as
-    -lap - diag(w) - s.  In 1D the blocks are scalars and this is the Sturm
-    count.  One batched eigh per step gives the inertia and the inverse of
-    the pivots of all rows and shifts.
+    weights is a stack (m, size) and shifts a 1D array (k,), all finite;
+    the result is an (m, k) integer array, equal rows counted once.  A
+    constant row shifts the stencil's spectrum, which the symbol gives in
+    closed form.  Every other row is counted by Sylvester's law of inertia:
+    the block LDL^T factorization of -lap - diag(w) - s steps along the
+    longer axis, with blocks T_i as wide as the shorter one, and its pivots
+    D_1 = T_1, D_{i+1} = T_{i+1} - h^-4 D_i^{-1} together have as many
+    negative eigenvalues as -lap - diag(w) - s.  In 1D the pivots are
+    scalars and this is the Sturm count.  A 2D step whose pivots pass a
+    batched Cholesky test of D_i - width eps |D_i|_inf I has none negative;
+    otherwise a batched eigh gives the inertia and inverses of its pivots.
     """
+    for name, finite in (("weight row", np.isfinite(weights).all(axis=1)),
+                         ("shift", np.isfinite(shifts))):
+        if not finite.all():
+            raise ValueError(f"{name} {np.argmin(finite)} of the inertia count is not finite")
+    weights, rows = np.unique(weights, axis=0, return_inverse=True)
     counts = np.empty((len(weights), len(shifts)), dtype=int)
     constant = np.all(weights == weights[:, :1], axis=1)
     symbol = _symbol(domain).ravel()
@@ -273,25 +279,37 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     else:
         (h, across) = domain.spacings
     width = grid.shape[2]
-    block = ((2.0 * np.eye(width) - np.eye(width, k=1) - np.eye(width, k=-1)) / across ** 2
-             + 2.0 / (h * h) * np.eye(width))
+    eye, guard = np.eye(width), width * np.finfo(float).eps
+    block = ((2.0 * eye - np.eye(width, k=1) - np.eye(width, k=-1)) / across ** 2
+             + 2.0 / (h * h) * eye)
     # one row per (weight, shift) pair: the diagonal w + s taken off each block
     taken = (grid[:, None] + shifts[:, None, None]).reshape((-1,) + grid.shape[1:])
     negative = np.zeros(len(taken), dtype=int)
-    schur = np.zeros((len(taken), width, width))
-    diag = np.arange(width)
+    schur = 0.0
     for step in range(grid.shape[1]):
-        pivot = block - schur
-        pivot[:, diag, diag] -= taken[:, step]
-        vals, vecs = np.linalg.eigh(pivot)
-        size = np.abs(vals)
-        if np.any(size.min(axis=1) <= width * np.finfo(float).eps * size.max(axis=1)):
-            raise SingularPivotError(
-                f"pivot block {step} of the inertia count is singular to rounding")
-        negative += np.count_nonzero(vals < 0.0, axis=1)
-        schur = (vecs / (h ** 4 * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+        if width == 1:  # scalar pivots, for which the guard below is pivot == 0
+            pivot = 2.0 / (h * h) - schur - taken[:, step, 0]
+            if np.any(pivot == 0.0):
+                raise SingularPivotError(
+                    f"pivot block {step} of the inertia count is singular to rounding")
+            negative += pivot < 0.0
+            schur = 1.0 / (h ** 4 * pivot)
+            continue
+        pivot = block - schur - taken[:, step, :, None] * eye
+        tau = guard * np.abs(pivot).sum(axis=2).max(axis=1)
+        try:
+            np.linalg.cholesky(pivot - tau[:, None, None] * eye)
+            schur = np.linalg.inv(pivot) / h ** 4
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(pivot)
+            size = np.abs(vals)
+            if np.any(size.min(axis=1) <= guard * size.max(axis=1)):
+                raise SingularPivotError(
+                    f"pivot block {step} of the inertia count is singular to rounding")
+            negative += np.count_nonzero(vals < 0.0, axis=1)
+            schur = (vecs / (h ** 4 * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
     counts[~constant] = negative.reshape(len(grid), len(shifts))
-    return counts
+    return counts[rows]
 
 
 def _dst(a: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ closed-form primitive G(t) = int_0^t g.  g, g' and G must be vectorized.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -22,6 +23,7 @@ _GL_ORDER = 12
 _gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
 _gl_x = 0.5 * (_gl_x + 1.0)  # nodes on [0, 1]
 _gl_w = 0.5 * _gl_w
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)  # one rule per node count
 _MAX_PANELS = 1024
 _SAMPLE_COUNT = 4001
 VALIDATE_SAMPLES = 512  # sandwich samples in validate_condition_g
@@ -45,6 +47,7 @@ class Nonlinearity:
     delta: float
     k: int
     primitive: Callable[[np.ndarray], np.ndarray] | None = None
+    degree: int | None = None  # of g, when g is a polynomial
     # max(1, sup |g|) over [a_minus, a_plus], sampled once at construction
     scale: float = dc_field(init=False)
 
@@ -56,6 +59,9 @@ class Nonlinearity:
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("k must be a positive integer")
         self.k = int(self.k)
+        if self.degree is not None and (isinstance(self.degree, bool) or self.degree < 0
+                                        or not float(self.degree).is_integer()):
+            raise ValueError(f"degree must be None or an integer >= 0, got {self.degree!r}")
         ts = np.linspace(self.a_minus, self.a_plus, _SAMPLE_COUNT)
         self.scale = max(1.0, float(np.max(np.abs(self.g(ts)))))
 
@@ -123,14 +129,19 @@ def truncation_increments(nl: Nonlinearity, mode: TruncationMode,
     This is the second-order remainder of the nonlinear energy term under
     the step s.  Computing it directly keeps line-search energy increments
     accurate relative to the increment itself rather than to the total
-    energy, which matters near convergence.
+    energy, which matters near convergence.  A g of declared degree d takes
+    one pass of the ceil((d + 1) / 2)-node Gauss rule, exact for degree d.
     """
     lo, hi = nl.support(mode)
     a = np.clip(u, lo, hi)
     b = np.clip(u + s, lo, hi)
     gu = truncate(nl, mode, u)
-    tol = 1e-13 * np.maximum(np.abs(gu * s), 1.0) + 1e-300
-    return _gauss_integrate(nl.g, a, b, tol) - gu * s
+    if nl.degree is None:
+        tol = 1e-13 * np.maximum(np.abs(gu * s), 1.0) + 1e-300
+        return _gauss_integrate(nl.g, a, b, tol) - gu * s
+    x, w = _leggauss(int(nl.degree) // 2 + 1)
+    span = b - a
+    return 0.5 * span * (nl.g(a[:, None] + span[:, None] * (0.5 * (x + 1.0))) @ w) - gu * s
 
 
 @dataclass

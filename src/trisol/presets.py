@@ -32,6 +32,7 @@ def cubic_nonlinearity(spec: DomainSpec, lam: float = 60.0,
         delta=delta,
         k=sandwich_index(spec, lam),
         primitive=lambda t: (t * t) * (0.5 * lam - 0.25 * (t * t)),
+        degree=3,
     )
 
 

@@ -251,6 +251,49 @@ def test_morse_singular_pivot_raises():
         count_below(spec, np.array([[2.0 / h**2, 0.0, 0.0]]), np.array([0.0]))
 
 
+def test_morse_singular_first_block_raises_through_eigh():
+    # on the 3 x 3 square every diagonal entry of T_1 is 4/h^2 = 64, so a
+    # first line of weight 64 leaves only the couplings: a singular T_1,
+    # which fails the Cholesky test and must be caught by the eigh guard
+    spec = DomainSpec.rectangle(1.0, 1.0, 3, 3)
+    weights = np.zeros((1, spec.size))
+    weights[0, :3] = 64.0
+    with pytest.raises(SingularPivotError, match="pivot block 0"):
+        count_below(spec, weights, np.array([0.0]))
+
+
+@pytest.mark.parametrize("grid", ["interval7", "square5"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["weights", "shifts"])
+def test_count_below_rejects_non_finite(grid, bad, where):
+    spec = {"interval7": DomainSpec.interval(1.0, 7),
+            "square5": DomainSpec.rectangle(1.0, 1.0, 5, 5)}[grid]
+    weights = np.random.default_rng(43).uniform(0.0, 60.0, (3, spec.size))
+    shifts = np.array([-1.0, 0.0, 1.0])
+    if where == "weights":
+        weights[1, spec.size // 2] = bad
+        match = "weight row 1 "
+    else:
+        shifts[2] = bad
+        match = "shift 2 "
+    with pytest.raises(ValueError, match=match):
+        count_below(spec, weights, shifts)
+
+
+@pytest.mark.parametrize("grid", sorted(_SMALL_GRIDS))
+def test_count_below_duplicate_rows_match_single_rows(grid):
+    # equal rows are counted once and the counts scattered back in order
+    spec = _SMALL_GRIDS[grid]
+    nl = cubic_nonlinearity(spec)
+    rng = np.random.default_rng(47)
+    a, b = (nl.gprime(rng.uniform(nl.a_minus, nl.a_plus, spec.size)) for _ in range(2))
+    constant = np.full(spec.size, nl.gprime(0.0))
+    stack = np.stack([b, a, constant, b, -a, a])
+    shifts = np.array([-50.0, -1.0, 1.0, 50.0, 500.0])
+    expected = np.stack([count_below(spec, row[None], shifts)[0] for row in stack])
+    assert np.array_equal(count_below(spec, stack, shifts), expected)
+
+
 def test_morse_work_count(p1, monkeypatch):
     # deterministic guard against per-point loops: a report counts all four
     # points in one call, and counting applies no stencil

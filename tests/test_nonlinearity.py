@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,20 @@ def test_constructor_validation():
         Nonlinearity(g, g, a_minus=-1.0, a_plus=1.0, delta=0.0, k=2)
     with pytest.raises(ValueError):
         Nonlinearity(g, g, a_minus=-1.0, a_plus=1.0, delta=1.0, k=0)
+
+
+@pytest.mark.parametrize("degree", [None, 0, 3, np.int64(5), 4.0])
+def test_degree_accepts_none_and_integers(degree):
+    g = lambda t: t
+    nl = Nonlinearity(g, g, a_minus=-1.0, a_plus=1.0, delta=1.0, k=2, degree=degree)
+    assert nl.degree == degree
+
+
+@pytest.mark.parametrize("degree", [True, False, -1, 2.5, float("nan"), float("inf")])
+def test_degree_rejects_bool_negative_and_non_integral(degree):
+    g = lambda t: t
+    with pytest.raises(ValueError, match="degree"):
+        Nonlinearity(g, g, a_minus=-1.0, a_plus=1.0, delta=1.0, k=2, degree=degree)
 
 
 def test_scale_is_sup_of_g(nl):
@@ -269,3 +285,36 @@ def test_increment_quadrature_stops_at_rounding_floor(nl):
     assert sum(evaluations) <= (12 * (1 + 2 + 4) + 1) * s.size
     assert np.allclose(inc, antiderivative(nl, TruncationMode.FULL, s),
                        rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", list(TruncationMode))
+def test_fixed_rule_increments_match_adaptive(nl, mode):
+    # u runs past both roots, so some intervals are clipped and some empty
+    assert nl.degree == 3
+    adaptive = dataclasses.replace(nl, degree=None)
+    rng = np.random.default_rng(41)
+    u = rng.uniform(-1.4 * RT60, 1.4 * RT60, 4000)
+    s = rng.uniform(-6.0, 6.0, u.size)
+    lo, hi = nl.support(mode)
+    a, b = np.clip(u, lo, hi), np.clip(u + s, lo, hi)
+    assert np.any(a == b) and np.any((a != b) & ((u < lo) | (u > hi) | (u + s < lo)
+                                                 | (u + s > hi)))
+    fixed = truncation_increments(nl, mode, u, s)
+    bound = 1e-13 * np.maximum(1.0, np.abs(truncate(nl, mode, u) * s)) * nl.scale
+    assert np.all(np.abs(fixed - truncation_increments(adaptive, mode, u, s)) <= bound)
+
+
+def test_fixed_rule_increment_work_count(nl):
+    # g(u) once, then one call for the two Gauss nodes of every interval
+    evaluations = []
+
+    def g(t):
+        evaluations.append(np.size(t))
+        return nl.g(t)
+
+    counted = Nonlinearity(g, nl.gprime, nl.a_minus, nl.a_plus, nl.delta, nl.k, degree=3)
+    s = np.linspace(0.5, 7.7, 721)
+    evaluations.clear()
+    inc = truncation_increments(counted, TruncationMode.FULL, np.zeros_like(s), s)
+    assert evaluations == [s.size, 2 * s.size]
+    assert np.allclose(inc, antiderivative(nl, TruncationMode.FULL, s), rtol=1e-13, atol=0.0)
