@@ -141,7 +141,9 @@ def truncation_increments(nl: Nonlinearity, mode: TruncationMode,
         return _gauss_integrate(nl.g, a, b, tol) - gu * s
     x, w = _leggauss(int(nl.degree) // 2 + 1)
     span = b - a
-    return 0.5 * span * (nl.g(a[:, None] + span[:, None] * (0.5 * (x + 1.0))) @ w) - gu * s
+    nodes = span[:, None] * (0.5 * (x + 1.0))
+    nodes += a[:, None]
+    return 0.5 * span * (nl.g(nodes) @ w) - gu * s
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Integrates u'' = -g(u) from the left endpoint with classical RK4 and the
 *untruncated* g, so agreement with the variational solver independently
 certifies that the truncated solutions solve the original equation.
-Trajectories that leave 10 * max(a+, -a-) are frozen and flagged as blown
-up.
+Trajectories that leave 10 * max(a+, -a-) are frozen, flagged as blown up
+and dropped from the sweep.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
         raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
     h = length / steps
-    u = np.zeros_like(slopes)
     p = np.array(slopes, dtype=float)
-    blown = np.zeros(slopes.shape, dtype=bool)
-    traj = np.zeros((steps + 1, slopes.size)) if record else None
-    dtraj = np.zeros((steps + 1, slopes.size)) if record else None
+    u, frozen = np.zeros_like(p), np.zeros((2, p.size))  # u and p of the blown lanes
+    blown, live = np.zeros(p.shape, dtype=bool), np.arange(p.size)
+    traj = np.zeros((steps + 1, p.size)) if record else None
+    dtraj = np.zeros((steps + 1, p.size)) if record else None
     if record:
         dtraj[0] = p
     for i in range(steps):     # u' = p, p' = -g(u), with g1..g4 = -k1p..-k4p
@@ -74,15 +74,17 @@ def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
         g3 = nl.g(u + 0.5 * h * k2u)
         k4u = p - h * g3
         g4 = nl.g(u + h * k3u)
-        u_next = u + (h / 6.0) * (p + 2.0 * k2u + 2.0 * k3u + k4u)
-        p_next = p - (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        u = np.where(blown, u, u_next)
-        p = np.where(blown, p, p_next)
-        blown |= np.abs(u) > cap
+        u += (h / 6.0) * (p + 2.0 * k2u + 2.0 * k3u + k4u)
+        p -= (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        if np.abs(u).max(initial=0.0) > cap:
+            out = np.abs(u) > cap
+            frozen[:, live[out]], blown[live[out]] = (u[out], p[out]), True
+            live, u, p = live[~out], u[~out], p[~out]
         if record:
-            traj[i + 1] = u
-            dtraj[i + 1] = p
-    return u, blown, traj, dtraj
+            traj[i + 1], dtraj[i + 1] = frozen
+            traj[i + 1, live], dtraj[i + 1, live] = u, p
+    frozen[0, live] = u
+    return frozen[0], blown, traj, dtraj
 
 
 def _shots(nl: Nonlinearity, length: float, slopes: np.ndarray,
@@ -128,40 +130,60 @@ def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
     return out
 
 
+def _window(slopes: np.ndarray, endpoints: np.ndarray, i: int) -> tuple[float, float]:
+    """Next round's slope range in the sign change [a, c] = slopes[i:i + 2]: its
+    regula-falsi root +- the error estimate |e2| (c - a)^2 / |e1| (e2 by a neighbouring
+    slope) or 32 roundings of the root, whichever is wider, clipped to [a, c]."""
+    (a, c), (ea, ec) = slopes[i:i + 2], endpoints[i:i + 2]
+    j = i - 1 if i > 0 else i + 2
+    e1 = (ec - ea) / (c - a)
+    e2 = ((endpoints[j] - ea) / (slopes[j] - a) - e1) / (slopes[j] - c)
+    root = a - ea / e1
+    half = max(abs(e2) * (c - a) ** 2 / abs(e1), 32 * np.spacing(abs(root)))
+    return max(a, root - half), min(c, root + half)
+
+
 def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, float]],
                 steps: int = RK4_STEPS) -> list[ShotResult]:
     """Multisect the endpoint map inside every sign-change bracket at once.
 
-    Returns one ShotResult per bracket, in order; a blown end or a missing
-    sign change raises ValueError for the first bracket that has one.  Each
-    round sweeps _LANES + 1 equally spaced slopes of every bracket still
-    refining in one `sweep` and keeps each sub-bracket of the first sign
-    change, until an endpoint is 0 or the bracket is _LANES roundings of its
-    slope wide.  The slopes of smallest |endpoint| are recorded in one sweep.
+    Returns one ShotResult per bracket, in order.  Each round sweeps _LANES + 1
+    slopes of every bracket still refining in one `sweep`: round 1 spans the
+    bracket evenly (a blown end or a missing sign change raises ValueError for
+    the first bracket that has one), later rounds the `_window` of the last
+    first sign change [a, c], keeping the piece of [a, c] beside it if it misses
+    the root.  A bracket stops when an endpoint is 0 or [a, c] is 2 roundings
+    wide.  The slopes of smallest |endpoint| seen are recorded in one sweep.
     """
     if len(brackets) == 0:
         return []
     if np.ndim(brackets) != 2 or np.shape(brackets)[1] != 2:
         raise ValueError(f"brackets must be a list of (lo, hi) pairs, got {brackets!r}")
-    lo, hi = np.array(brackets, dtype=float).T.copy()
-    ends, blown = (a.reshape(2, -1) for a in sweep(nl, length, np.concatenate([lo, hi]), steps))
+    lo, hi = np.array(brackets, dtype=float).T
+    slopes = np.linspace(lo, hi, _LANES + 1, axis=1)
+    ends, blown = (a.reshape(slopes.shape) for a in sweep(nl, length, slopes.ravel(), steps))
     for b in range(len(lo)):
-        if blown[:, b].any():
+        if blown[b, [0, -1]].any():
             raise ValueError("bracket endpoint blew up; shrink the bracket")
-        if ends[0, b] * ends[1, b] > 0.0:
+        if ends[b, 0] * ends[b, -1] > 0.0:
             raise ValueError(f"no sign change on [{lo[b]}, {hi[b]}]: endpoints "
-                             f"{ends[0, b]:.3e}, {ends[1, b]:.3e}")
-    best = np.where(np.abs(ends[0]) <= np.abs(ends[1]), lo, hi)
-    best_end = np.min(np.abs(ends), axis=0)
-    live = range(len(lo))
-    while live := [b for b in live if best_end[b] > 0.0 and abs(hi[b] - lo[b])
-                   > _LANES * np.spacing(max(abs(lo[b]), abs(hi[b])))]:
-        slopes = np.linspace(lo[live], hi[live], _LANES + 1, axis=1)
-        endpoints = sweep(nl, length, slopes.ravel(), steps)[0].reshape(slopes.shape)
-        for b, s, e in zip(live, slopes, endpoints):
+                             f"{ends[b, 0]:.3e}, {ends[b, -1]:.3e}")
+    best, best_end = np.empty(len(lo)), np.full(len(lo), np.inf)
+    seen = list(zip(range(len(lo)), slopes, ends))
+    while True:
+        live = []
+        for b, s, e in seen:
+            s, k = np.unique(s, return_index=True)
+            e = e[k]
             k = np.argmin(np.abs(e))
             if abs(e[k]) < best_end[b]:
                 best[b], best_end[b] = s[k], abs(e[k])
             i = np.flatnonzero(e[:-1] * e[1:] <= 0.0)[0]
-            lo[b], hi[b] = s[i], s[i + 1]
-    return _shots(nl, length, best, steps)
+            if best_end[b] > 0.0 and s[i + 1] - s[i] > 2 * np.spacing(np.abs(s[i:i + 2]).max()):
+                live.append((b, s[i:i + 2], e[i:i + 2], _window(s, e, i)))
+        if not live:
+            return _shots(nl, length, best, steps)
+        slopes = np.linspace(*np.array([w for *_, w in live]).T, _LANES + 1, axis=1)
+        ends = sweep(nl, length, slopes.ravel(), steps)[0].reshape(slopes.shape)
+        seen = [(b, np.insert(ac, 1, s), np.insert(eac, 1, e))
+                for (b, ac, eac, _), s, e in zip(live, slopes, ends)]

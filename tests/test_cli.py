@@ -383,5 +383,17 @@ def test_oracle_command_counts_branches(tmp_path, capsys):
     assert amplitudes[-1] == pytest.approx(7.615, abs=0.01)
 
 
+def test_oracle_preset_branches_meet_the_endpoint_check(capsys):
+    # the benchmark's oracle check: every branch solves the boundary value
+    # problem to 1e-12 of its amplitude, and the mirrored branches agree
+    assert main(["oracle", "--preset", "p1-interval"]) == 0
+    branches = json.loads(capsys.readouterr().out)["branches"]
+    assert [b["interior_sign_changes"] for b in branches] == [0, 1, 1, 0]
+    for b in branches:
+        assert abs(b["endpoint"]) <= 1e-12 * max(1.0, b["amplitude"])
+    for neg, pos in zip(branches[:2], branches[:1:-1]):
+        assert abs(pos["slope"] + neg["slope"]) <= 8 * np.spacing(pos["slope"])
+
+
 def test_oracle_command_requires_interval(capsys):
     assert main(["oracle", "--preset", "p2-square"]) == 2

@@ -91,6 +91,20 @@ def test_energy_conservation(nl):
     assert drift <= 1e-9 * max(1.0, abs(energy[0]))
 
 
+def test_recorded_lanes_stay_frozen_after_blow_up(nl):
+    # lanes that leave the cap at different steps are dropped from the sweep;
+    # each keeps its frozen u and p in every later recorded row
+    slopes = np.array([42.4, 46.0, 50.0, 60.0, -80.0, 7.0])
+    end, blown, traj, dtraj = oracle._rk4_sweep(nl, 1.0, slopes, 1000, record=True)
+    cap = 10.0 * max(nl.a_plus, -nl.a_minus)
+    first = [int(np.argmax(np.abs(traj[:, j]) > cap)) for j in np.flatnonzero(blown)]
+    assert blown.sum() == 4 and len(set(first)) == 4
+    for j, k in zip(np.flatnonzero(blown), first):
+        assert np.all(traj[k:, j] == traj[k, j]) and np.all(dtraj[k:, j] == dtraj[k, j])
+        assert end[j] == traj[k, j]
+    assert np.array_equal(end, traj[-1])
+
+
 def test_blow_up_is_flagged(nl):
     # above the separatrix level the trajectory escapes the well
     shot = shoot(nl, 1.0, 50.0, 4096)
@@ -171,8 +185,32 @@ def test_find_branch_work_count(nl, monkeypatch):
     brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4), (-35.4, -35.3)]
     assert len(find_branch(nl, 1.0, brackets, 4096)) == 4
     assert "shoot" not in calls
-    assert len(calls) <= 10
+    assert len(calls) <= 6
     assert calls.count(True) == 1
+
+
+def test_find_branch_keeps_the_root_when_the_window_misses_it(nl, monkeypatch):
+    # the first two windows lie beside the regula-falsi root, left and then
+    # right of it; the piece of the sign change outside them keeps the root
+    window, calls = oracle._window, []
+
+    def beside(slopes, endpoints, i):
+        calls.append(i)
+        (a, c), (ea, ec) = slopes[i:i + 2], endpoints[i:i + 2]
+        root = a - ea * (c - a) / (ec - ea)
+        if len(calls) == 1:
+            return a, 0.5 * (a + root)
+        if len(calls) == 2:
+            return 0.5 * (root + c), c
+        return window(slopes, endpoints, i)
+    monkeypatch.setattr(oracle, "_window", beside)
+    (branch,) = find_branch(nl, 1.0, [(35.3, 35.4)], 2048)
+    assert len(calls) >= 3
+    amplitude = np.max(np.abs(branch.values))
+    assert abs(branch.endpoint) <= 1e-12 * max(1.0, amplitude)
+    monkeypatch.setattr(oracle, "_window", window)
+    assert branch.slope == pytest.approx(find_branch(nl, 1.0, [(35.3, 35.4)], 2048)[0].slope,
+                                         abs=1e-12)
 
 
 def test_find_branch_of_no_brackets_integrates_nothing(nl, monkeypatch):
