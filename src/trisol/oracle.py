@@ -4,11 +4,15 @@ Integrates u'' = -g(u) from the left endpoint with classical RK4 and the
 *untruncated* g, so agreement with the variational solver independently
 certifies that the truncated solutions solve the original equation.
 Trajectories that leave 10 * max(a+, -a-) are frozen, flagged as blown up
-and dropped from the sweep.
+and dropped from the sweep.  A sweep of many slopes shares them among
+forked workers, one per available CPU.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,11 @@ RK4_STEPS = 4096  # default steps per trajectory
 MIN_RK4_STEPS = 1000
 MAX_SWEEP_LANES = 1_000_000  # slopes in one command-line sweep
 _LANES = 64  # sub-brackets per multisection round; a sweep of 65 lanes costs about one shot
+_FORK_LANES = 2048  # lanes per forked `sweep` worker, at least
+
+
+class SweepWorkerError(RuntimeError):
+    """A forked `sweep` worker failed or returned a short result."""
 
 
 @dataclass(eq=False)
@@ -104,9 +113,53 @@ def shoot(nl: Nonlinearity, length: float, slope: float, steps: int) -> ShotResu
 
 def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
           steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint map over an array of slopes; returns (endpoints, blown_mask)."""
-    endpoints, blown, _, _ = _rk4_sweep(
-        nl, length, np.asarray(slopes, dtype=float), steps, record=False)
+    """Endpoint map over an array of slopes; returns (endpoints, blown_mask).
+
+    Worker w of k = min(available CPUs, lanes // _FORK_LANES) integrates
+    slopes[w::k]: the caller share 0, and k - 1 children made by `os.fork`
+    the rest, each sending its bytes back through a pipe.  Lanes are
+    independent, so the bits are those of one serial pass.  k is 1 where
+    fork or the CPU set is missing, or while other threads run.
+    """
+    slopes = np.asarray(slopes, dtype=float)
+    if steps < MIN_RK4_STEPS:
+        raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
+    forks = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and threading.active_count() == 1)  # a fork beside other threads is unsafe
+    k = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, slopes.size // _FORK_LANES))
+    endpoints, blown = np.empty(slopes.size), np.empty(slopes.size, dtype=bool)
+    workers = []  # (worker, pid, read end) of every child not yet reaped
+    try:
+        for w in range(1, k):
+            reader, writer = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            with writer:
+                if (pid := os.fork()) == 0:  # worker w: its bytes into the pipe, then _exit
+                    try:
+                        end, out, _, _ = _rk4_sweep(nl, length, slopes[w::k], steps,
+                                                    record=False)
+                        writer.write(end.tobytes() + out.tobytes())
+                        writer.close()
+                    finally:
+                        os._exit(0 if writer.closed else 1)
+            workers.append((w, pid, reader))
+        endpoints[::k], blown[::k], _, _ = _rk4_sweep(nl, length, slopes[::k], steps,
+                                                      record=False)
+        while workers:
+            w, pid, reader = workers[0]
+            with reader:
+                data, n = reader.read(), blown[w::k].size
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            if status != 0 or len(data) != 9 * n:  # a float64 endpoint and a bool per lane
+                raise SweepWorkerError(f"sweep worker {w} exited with status {status} "
+                                       f"after {len(data)} of {9 * n} result bytes")
+            endpoints[w::k] = np.frombuffer(data, float, n)
+            blown[w::k] = np.frombuffer(data, bool, offset=8 * n)
+    finally:
+        for _, pid, reader in workers:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return endpoints, blown
 
 

@@ -328,6 +328,16 @@ def test_oracle_zero_slope_step_is_exit_2(tmp_path, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
+def _run_python(code, cwd):
+    """Run `code` in a fresh interpreter that imports this trisol, with its
+    stdout piped and block-buffered, as a pipe is by default."""
+    src = str(Path(trisol.__file__).resolve().parents[1])
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=True)
+
+
 def _optional_numpy_modules_after(argv, cwd):
     """Run main(argv) in a fresh interpreter; return its exit code and which
     of numpy.random and numpy.fft it imported."""
@@ -335,11 +345,7 @@ def _optional_numpy_modules_after(argv, cwd):
             "from trisol.cli import main\n"
             f"rc = main({argv!r})\n"
             "print(rc, [m for m in ('numpy.random', 'numpy.fft') if m in sys.modules])")
-    src = str(Path(trisol.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=True)
+    done = _run_python(code, cwd)
     rc, modules = done.stdout.strip().splitlines()[-1].split(" ", 1)
     return int(rc), modules
 
@@ -393,6 +399,21 @@ def test_oracle_preset_branches_meet_the_endpoint_check(capsys):
         assert abs(b["endpoint"]) <= 1e-12 * max(1.0, b["amplitude"])
     for neg, pos in zip(branches[:2], branches[:1:-1]):
         assert abs(pos["slope"] + neg["slope"]) <= 8 * np.spacing(pos["slope"])
+
+
+def test_oracle_prints_its_json_once_through_a_pipe(tmp_path):
+    # two CPUs are claimed so that the scan forks a worker on any machine with
+    # fork; a worker must neither flush its copy of the buffered stdout, which
+    # holds "start" when it forks, nor go on to print the JSON itself
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from trisol.cli import main\n"
+            "print('start')\n"
+            "sys.exit(main(['oracle', '--preset', 'p1-interval']))\n")
+    start, text = _run_python(code, tmp_path).stdout.split("\n", 1)
+    assert start == "start"
+    body = json.loads(text)  # one JSON document and nothing after it
+    assert body["branch_count"] == 4 and body["blown_up"] == 1512
 
 
 def test_oracle_command_requires_interval(capsys):
