@@ -120,6 +120,8 @@ class RunConfig:
     settings: dict = field(default_factory=dict)
     preset: str | None = None
     out_requested: bool = False
+    descent: DescentOptions | None = None
+    mountainpass: MPOptions | None = None
 
     @classmethod
     def resolve(cls, config_path: str | None, preset: str | None,
@@ -158,8 +160,11 @@ class RunConfig:
         if (count := (hi - lo) / step + 1) > MAX_SWEEP_LANES:  # counted, not allocated
             raise ConfigError(f"an oracle sweep of {count:.3g} slopes is more than "
                               f"{MAX_SWEEP_LANES}; raise oracle.slope_step")
-        return cls(settings=settings, preset=preset_name,
-                   out_requested=out is not None or "output.dir" in file_entries)
+        cfg = cls(settings=settings, preset=preset_name,
+                  out_requested=out is not None or "output.dir" in file_entries)
+        cfg.descent, cfg.mountainpass = (cfg.options(DescentOptions, "descent"),
+                                         cfg.options(MPOptions, "mountainpass"))
+        return cfg
 
     def domain(self) -> DomainSpec:
         kind = self.settings["domain.kind"]
@@ -259,8 +264,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     nl = cfg.nonlinearity(spec)
     report = run_pipeline(
         spec, nl,
-        descent_opts=cfg.options(DescentOptions, "descent"),
-        mp_opts=cfg.options(MPOptions, "mountainpass"),
+        descent_opts=cfg.descent, mp_opts=cfg.mountainpass,
         preset=cfg.preset,
         **cfg.given(validate_samples="validate.samples", morse_tol="morse.tol"),
     )

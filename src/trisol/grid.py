@@ -43,8 +43,8 @@ class DomainSpec:
     def __post_init__(self):
         if len(self.lengths) not in (1, 2) or len(self.lengths) != len(self.counts):
             raise ValueError("domain must be a 1D interval or 2D rectangle")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("all side lengths must be positive")
+        if not all(0 < L < math.inf for L in self.lengths):
+            raise ValueError(f"all side lengths must be positive and finite, got {self.lengths}")
         if any(int(n) != n or n < 3 for n in self.counts):
             raise ValueError("interior counts must be integers >= 3")
         object.__setattr__(self, "lengths", tuple(float(L) for L in self.lengths))

@@ -52,10 +52,10 @@ class Nonlinearity:
     scale: float = dc_field(init=False)
 
     def __post_init__(self):
-        if not (self.a_minus < 0.0 < self.a_plus):
-            raise ValueError("roots must satisfy a_minus < 0 < a_plus")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not (-np.inf < self.a_minus < 0.0 < self.a_plus < np.inf):
+            raise ValueError("roots must be finite with a_minus < 0 < a_plus")
+        if not (0.0 < self.delta < np.inf):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("k must be a positive integer")
         self.k = int(self.k)

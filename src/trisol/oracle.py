@@ -10,6 +10,8 @@ forked workers, one per available CPU.
 
 from __future__ import annotations
 
+import ctypes
+import mmap
 import os
 import signal
 import threading
@@ -28,7 +30,7 @@ _FORK_LANES = 2048  # lanes per forked `sweep` worker, at least
 
 
 class SweepWorkerError(RuntimeError):
-    """A forked `sweep` worker failed or returned a short result."""
+    """A forked `sweep` worker exited with a non-zero status."""
 
 
 @dataclass(eq=False)
@@ -116,10 +118,11 @@ def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
     """Endpoint map over an array of slopes; returns (endpoints, blown_mask).
 
     Worker w of k = min(available CPUs, lanes // _FORK_LANES) integrates
-    slopes[w::k]: the caller share 0, and k - 1 children made by `os.fork`
-    the rest, each sending its bytes back through a pipe.  Lanes are
-    independent, so the bits are those of one serial pass.  k is 1 where
-    fork or the CPU set is missing, or while other threads run.
+    slopes[w::k] into one shared anonymous mapping that both arrays view:
+    the caller share 0, and k - 1 children made by `os.fork` the rest.
+    Lanes are independent, so the bits are those of one serial pass.  k is 1
+    where fork or the CPU set is missing, or while other threads run.  Where
+    libc has prctl, the kernel kills the children if the caller dies.
     """
     slopes = np.asarray(slopes, dtype=float)
     if steps < MIN_RK4_STEPS:
@@ -127,60 +130,51 @@ def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
     forks = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
              and threading.active_count() == 1)  # a fork beside other threads is unsafe
     k = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, slopes.size // _FORK_LANES))
-    endpoints, blown = np.empty(slopes.size), np.empty(slopes.size, dtype=bool)
-    workers = []  # (worker, pid, read end) of every child not yet reaped
+    shared = mmap.mmap(-1, 9 * slopes.size + 1)  # endpoints, flags; never empty
+    endpoints = np.frombuffer(shared, float, slopes.size)
+    blown = np.frombuffer(shared, bool, slopes.size, offset=8 * slopes.size)
+    workers, caller = [], os.getpid()  # (worker, pid) of every child not yet reaped
     try:
         for w in range(1, k):
-            reader, writer = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
-            with writer:
-                if (pid := os.fork()) == 0:  # worker w: its bytes into the pipe, then _exit
-                    try:
-                        end, out, _, _ = _rk4_sweep(nl, length, slopes[w::k], steps,
-                                                    record=False)
-                        writer.write(end.tobytes() + out.tobytes())
-                        writer.close()
-                    finally:
-                        os._exit(0 if writer.closed else 1)
-            workers.append((w, pid, reader))
+            if (pid := os.fork()) == 0:  # worker w: its share into the mapping, then _exit
+                try:
+                    libc = ctypes.CDLL(None)
+                    if hasattr(libc, "prctl"):
+                        libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                    if os.getppid() != caller:  # the caller died before prctl
+                        os._exit(1)
+                    endpoints[w::k], blown[w::k], _, _ = _rk4_sweep(nl, length, slopes[w::k],
+                                                                    steps, record=False)
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # reached only when the share raised
+            workers.append((w, pid))
         endpoints[::k], blown[::k], _, _ = _rk4_sweep(nl, length, slopes[::k], steps,
                                                       record=False)
         while workers:
-            w, pid, reader = workers[0]
-            with reader:
-                data, n = reader.read(), blown[w::k].size
+            w, pid = workers[0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[0]
-            if status != 0 or len(data) != 9 * n:  # a float64 endpoint and a bool per lane
-                raise SweepWorkerError(f"sweep worker {w} exited with status {status} "
-                                       f"after {len(data)} of {9 * n} result bytes")
-            endpoints[w::k] = np.frombuffer(data, float, n)
-            blown[w::k] = np.frombuffer(data, bool, offset=8 * n)
+            if status != 0:
+                raise SweepWorkerError(f"sweep worker {w} exited with status {status}")
     finally:
-        for _, pid, reader in workers:
-            reader.close()
+        for _, pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return endpoints, blown
 
 
 def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
-                         blown: np.ndarray,
-                         exclude_zero: bool = True) -> list[tuple[float, float]]:
+                         blown: np.ndarray) -> list[tuple[float, float]]:
     """Slope intervals across which the endpoint map changes sign.
 
-    Brackets touching a blown-up trajectory are dropped; with exclude_zero
-    the bracket containing slope 0 (the trivial solution) is dropped too.
+    Brackets touching a blown-up trajectory are dropped, and so is the
+    bracket containing slope 0 (the trivial solution).
     """
-    out = []
-    for i in range(len(slopes) - 1):
-        if blown[i] or blown[i + 1]:
-            continue
-        if endpoints[i] == 0.0 or endpoints[i] * endpoints[i + 1] < 0.0:
-            lo, hi = float(slopes[i]), float(slopes[i + 1])
-            if exclude_zero and lo <= 0.0 <= hi:
-                continue
-            out.append((lo, hi))
-    return out
+    s, e, b = np.asarray(slopes, float), np.asarray(endpoints), np.asarray(blown, bool)
+    keep = ((e[:-1] == 0.0) | (e[:-1] * e[1:] < 0.0)) & ~(b[:-1] | b[1:])
+    keep &= (s[:-1] > 0.0) | (s[1:] < 0.0)
+    return list(zip(s[:-1][keep].tolist(), s[1:][keep].tolist()))
 
 
 def _window(slopes: np.ndarray, endpoints: np.ndarray, i: int) -> tuple[float, float]:

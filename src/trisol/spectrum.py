@@ -68,12 +68,12 @@ def eigenpairs(spec: DomainSpec, count: int) -> list[Eigenpair]:
 def sandwich_index(spec: DomainSpec, mu: float) -> int:
     """Largest k with lambda_k <= mu, counting multiplicity.
 
-    Raises ValueError when mu <= lambda_1 (no admissible index exists
-    there; the sandwich condition needs k >= 2 anyway).
+    Raises ValueError unless lambda_1 < mu < inf (no admissible index
+    exists below; the sandwich condition needs k >= 2 anyway).
     """
     lam1 = eigenvalue_table(spec, 1)[0][0]
-    if mu <= lam1:
-        raise ValueError(f"mu = {mu} is not above the first eigenvalue {lam1}")
+    if not (lam1 < mu < math.inf):
+        raise ValueError(f"mu = {mu} is not finite and above the first eigenvalue {lam1}")
     count = 8
     while True:
         table = eigenvalue_table(spec, count)

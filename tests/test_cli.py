@@ -300,6 +300,9 @@ def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys, line):
     assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+_ALL_COMMANDS = ("solve", "eigen", "validate", "oracle")
+
+
 @pytest.mark.parametrize("line", ["descent.armijo_c = 2",
                                   "mountainpass.path_count = 4",
                                   "mountainpass.max_iters = -1",
@@ -313,10 +316,13 @@ def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys, line):
                                   "validate.samples = 50", "eigen.count = 0",
                                   "descent.initial_step = inf", "descent.grad_tol = nan"])
 def test_out_of_range_option_is_exit_2(tmp_path, capsys, line):
+    # every command checks the whole configuration before any work
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    for command in _ALL_COMMANDS:
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2, command
+        assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # and nothing is written
 
 
@@ -328,14 +334,42 @@ def test_oracle_zero_slope_step_is_exit_2(tmp_path, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
-def _run_python(code, cwd):
+def _run_python(code, cwd, **kwargs):
     """Run `code` in a fresh interpreter that imports this trisol, with its
     stdout piped and block-buffered, as a pipe is by default."""
     src = str(Path(trisol.__file__).resolve().parents[1])
     env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, **kwargs)
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+
+@pytest.mark.skipif(os.name != "posix", reason="caps memory with resource.setrlimit")
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key, commands", [
+    ("domain.length", _ALL_COMMANDS), ("domain.width", _ALL_COMMANDS),
+    ("domain.height", _ALL_COMMANDS), ("nonlinearity.lambda", ("solve", "validate", "oracle")),
+    ("nonlinearity.delta", ("solve", "validate", "oracle"))])
+def test_non_finite_key_is_exit_2(tmp_path, key, commands, value):
+    # such values once hung a run or filled memory (lambda = nan grew the
+    # eigenvalue table without end), so every command that reads the key
+    # runs in a child with a timeout and a 1 GB address-space cap
+    kind = "rectangle" if key in ("domain.width", "domain.height") else "interval"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"domain.kind = {kind}\ngrid.n = 31\ngrid.nx = 15\ngrid.ny = 15\n"
+                   f"{key} = {value}\n")
+    code = ("from trisol.cli import main\n"
+            f"print([main([c, '--config', {str(cfg)!r}, '--out', 'out']) for c in {commands!r}])")
+    done = _run_python(code, tmp_path, timeout=60, preexec_fn=_cap_address_space)
+    assert done.stdout.strip().splitlines()[-1] == str([2] * len(commands))
+    assert done.stderr.count("configuration error") == len(commands)
+    assert not (tmp_path / "out").exists()
 
 
 def _optional_numpy_modules_after(argv, cwd):

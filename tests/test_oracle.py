@@ -1,6 +1,11 @@
+import contextlib
 import os
+import select
+import signal
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +133,20 @@ def test_sweep_and_branch_enumeration(nl):
     # the trivial crossing at slope zero is excluded; four true branches
     assert len(brackets) >= 3
     assert all(lo > 0 or hi < 0 for lo, hi in brackets)
+
+
+def test_sweep_of_no_slopes_is_empty(nl):
+    endpoints, blown = sweep(nl, 1.0, np.array([]), 1000)
+    assert (endpoints.shape, endpoints.dtype, blown.shape, blown.dtype) == (
+        (0,), np.float64, (0,), np.bool_)
+
+
+def test_sign_change_brackets_rules():
+    # an exact zero endpoint opens a bracket; a blown end or slope 0 closes it
+    slopes = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    endpoints = np.array([1.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    blown = np.array([False] * 6 + [True, False])
+    assert sign_change_brackets(slopes, endpoints, blown) == [(-2.0, -1.0), (1.0, 2.0)]
 
 
 def test_find_branch_one_sign_solution(nl):
@@ -282,7 +301,6 @@ def _in_workers(monkeypatch, share):
     rk4, caller = oracle._rk4_sweep, os.getpid()
     monkeypatch.setattr(oracle, "_rk4_sweep", lambda *args, **kwargs: (
         rk4 if os.getpid() == caller else share)(*args, **kwargs))
-    return rk4
 
 
 @needs_fork
@@ -325,22 +343,72 @@ def test_sweep_names_a_failed_worker(nl, monkeypatch):
         raise FloatingPointError("a worker's share")
     _split_sweeps(monkeypatch)
     _in_workers(monkeypatch, fails)
-    with pytest.raises(oracle.SweepWorkerError, match="sweep worker 1 exited with status 1 "):
+    with pytest.raises(oracle.SweepWorkerError,
+                       match="^sweep worker 1 exited with status 1$"):
         sweep(nl, 1.0, _SPLIT, 1000)
     _assert_no_child_left()
 
 
 @needs_fork
 def test_sweep_names_a_worker_with_a_short_result(nl, monkeypatch):
+    # a share one lane short fails its slice assignment into the shared
+    # result, so the worker ends with status 1 like any other failure
     def short(*args, **kwargs):
         end, blown, _, _ = rk4(*args, **kwargs)
         return end[:-1], blown[:-1], None, None
+    rk4 = oracle._rk4_sweep
     _split_sweeps(monkeypatch)
-    rk4 = _in_workers(monkeypatch, short)
+    _in_workers(monkeypatch, short)
     with pytest.raises(oracle.SweepWorkerError,
-                       match="sweep worker 1 exited with status 0 after 891 of 900 result"):
+                       match="^sweep worker 1 exited with status 1$"):
         sweep(nl, 1.0, _SPLIT, 1000)
     _assert_no_child_left()
+
+
+def _running(pid):
+    """Whether pid exists and is not a zombie, by the state in /proc/<pid>/stat."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal and /proc are Linux's")
+def test_sweep_worker_dies_with_a_killed_caller(nl):
+    # a forked caller runs a sweep with one worker, whose share reports its
+    # pid and sleeps; SIGKILL of the caller must take the worker with it
+    reader, writer = os.pipe()
+    if (caller := os.fork()) == 0:
+        def sleeps(*args, **kwargs):
+            os.write(writer, b"%d\n" % os.getpid())
+            time.sleep(60)
+        try:
+            with pytest.MonkeyPatch.context() as m:
+                _split_sweeps(m)
+                m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # one worker
+                _in_workers(m, sleeps)
+                sweep(nl, 1.0, _SPLIT, 1000)
+        finally:
+            os._exit(0)
+    os.close(writer)
+    try:
+        ready = select.select([reader], [], [], 30.0)[0]
+        worker = int(os.read(reader, 64).split()[0]) if ready else None
+    finally:
+        os.close(reader)
+        os.kill(caller, signal.SIGKILL)
+        os.waitpid(caller, 0)
+    assert worker is not None, "the worker never started its share"
+    try:
+        deadline = time.monotonic() + 2.0
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _running(worker), "the worker outlived its killed caller"
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(worker, signal.SIGKILL)
 
 
 @needs_fork
