@@ -313,7 +313,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
     lo, hi, step = (cfg.settings[f"oracle.slope_{end}"] for end in ("min", "max", "step"))
     steps = cfg.settings.get("oracle.steps", RK4_STEPS)
     slopes = np.arange(lo, hi + 0.5 * step, step)
-    endpoints, blown = sweep(nl, length, slopes, steps)
+    # the scan only places sign changes and blow-ups, so it runs at a quarter
+    # of the steps; a lane next to one may change side at `steps`, so every
+    # lane within one lane of an unblown sign change or a change of blown
+    # flag is integrated again at `steps`
+    endpoints, blown = sweep(nl, length, slopes, max(MIN_RK4_STEPS, steps // 4))
+    edges = np.flatnonzero((endpoints[:-1] * endpoints[1:] <= 0.0) & ~(blown[:-1] | blown[1:])
+                           | (blown[:-1] != blown[1:]))
+    near = np.unique(np.clip(edges[:, None] + np.arange(-1, 3), 0, slopes.size - 1))
+    endpoints[near], blown[near] = sweep(nl, length, slopes[near], steps)
     brackets = sign_change_brackets(slopes, endpoints, blown)
     branches = []
     for shot in find_branch(nl, length, brackets, steps):

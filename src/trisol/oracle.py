@@ -4,17 +4,11 @@ Integrates u'' = -g(u) from the left endpoint with classical RK4 and the
 *untruncated* g, so agreement with the variational solver independently
 certifies that the truncated solutions solve the original equation.
 Trajectories that leave 10 * max(a+, -a-) are frozen, flagged as blown up
-and dropped from the sweep.  A sweep of many slopes shares them among
-forked workers, one per available CPU.
+and dropped from the sweep.
 """
 
 from __future__ import annotations
 
-import ctypes
-import mmap
-import os
-import signal
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +20,6 @@ RK4_STEPS = 4096  # default steps per trajectory
 MIN_RK4_STEPS = 1000
 MAX_SWEEP_LANES = 1_000_000  # slopes in one command-line sweep
 _LANES = 64  # sub-brackets per multisection round; a sweep of 65 lanes costs about one shot
-_FORK_LANES = 2048  # lanes per forked `sweep` worker, at least
-
-
-class SweepWorkerError(RuntimeError):
-    """A forked `sweep` worker exited with a non-zero status."""
 
 
 @dataclass(eq=False)
@@ -115,52 +104,8 @@ def shoot(nl: Nonlinearity, length: float, slope: float, steps: int) -> ShotResu
 
 def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
           steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint map over an array of slopes; returns (endpoints, blown_mask).
-
-    Worker w of k = min(available CPUs, lanes // _FORK_LANES) integrates
-    slopes[w::k] into one shared anonymous mapping that both arrays view:
-    the caller share 0, and k - 1 children made by `os.fork` the rest.
-    Lanes are independent, so the bits are those of one serial pass.  k is 1
-    where fork or the CPU set is missing, or while other threads run.  Where
-    libc has prctl, the kernel kills the children if the caller dies.
-    """
-    slopes = np.asarray(slopes, dtype=float)
-    if steps < MIN_RK4_STEPS:
-        raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
-    forks = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-             and threading.active_count() == 1)  # a fork beside other threads is unsafe
-    k = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, slopes.size // _FORK_LANES))
-    shared = mmap.mmap(-1, 9 * slopes.size + 1)  # endpoints, flags; never empty
-    endpoints = np.frombuffer(shared, float, slopes.size)
-    blown = np.frombuffer(shared, bool, slopes.size, offset=8 * slopes.size)
-    workers, caller = [], os.getpid()  # (worker, pid) of every child not yet reaped
-    try:
-        for w in range(1, k):
-            if (pid := os.fork()) == 0:  # worker w: its share into the mapping, then _exit
-                try:
-                    libc = ctypes.CDLL(None)
-                    if hasattr(libc, "prctl"):
-                        libc.prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-                    if os.getppid() != caller:  # the caller died before prctl
-                        os._exit(1)
-                    endpoints[w::k], blown[w::k], _, _ = _rk4_sweep(nl, length, slopes[w::k],
-                                                                    steps, record=False)
-                    os._exit(0)
-                finally:
-                    os._exit(1)  # reached only when the share raised
-            workers.append((w, pid))
-        endpoints[::k], blown[::k], _, _ = _rk4_sweep(nl, length, slopes[::k], steps,
-                                                      record=False)
-        while workers:
-            w, pid = workers[0]
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            if status != 0:
-                raise SweepWorkerError(f"sweep worker {w} exited with status {status}")
-    finally:
-        for _, pid in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    """Endpoint map over an array of slopes; returns (endpoints, blown_mask)."""
+    endpoints, blown, _, _ = _rk4_sweep(nl, length, slopes, steps, record=False)
     return endpoints, blown
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trisol
+from trisol import cli
 from trisol.cli import (_SCHEMA, ConfigError, RunConfig, main, parse_config_file,
                         read_field_csv, report_to_json, write_field_csv)
 from trisol.descent import DescentOptions
@@ -435,12 +436,61 @@ def test_oracle_preset_branches_meet_the_endpoint_check(capsys):
         assert abs(pos["slope"] + neg["slope"]) <= 8 * np.spacing(pos["slope"])
 
 
+def _oracle_body(tmp_path, capsys, lines):
+    """Run `oracle` on p1-interval with the given config lines; its JSON."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = p1-interval\n" + "".join(f"{line}\n" for line in lines))
+    assert main(["oracle", "--config", str(cfg)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys):
+    # the root lies about 1e-10 above the lane at 35.33740129699026, whose
+    # endpoint changes sign between the scan's 1024 steps and the full 4096;
+    # integrated again at 4096, the bracket holds the root
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.28740129699027",
+                                           "oracle.slope_max = 35.387401297090264",
+                                           "oracle.slope_step = 0.01"])
+    assert body["blown_up"] == 0 and body["branch_count"] == 1
+    assert body["branches"] == [{"amplitude": 5.176440898219756,
+                                 "endpoint": -5.551115123125783e-16,
+                                 "interior_sign_changes": 1,
+                                 "slope": 35.33740129709027}]
+
+
+def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, monkeypatch):
+    # the scan runs at a quarter of the steps; the two lanes on each side of
+    # the sign change between 42.40 and 42.41 and of the blown edge between
+    # 42.44 and 42.45 are integrated again at the full 4096
+    calls, sweep = [], cli.sweep
+
+    def recorded(nl, length, slopes, steps):
+        endpoints, blown = sweep(nl, length, slopes, steps)
+        calls.append((slopes.copy(), steps, blown.copy()))
+        return endpoints, blown
+    monkeypatch.setattr(cli, "sweep", recorded)
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 42.0",
+                                           "oracle.slope_max = 42.6",
+                                           "oracle.slope_step = 0.01"])
+    (scan, coarse, _), (again, fine, blown) = calls
+    assert (scan.size, coarse, fine) == (61, 1024, 4096)
+    assert np.round(again, 9).tolist() == [42.39, 42.4, 42.41, 42.42, 42.43, 42.44, 42.45, 42.46]
+    assert blown.tolist() == [False] * 6 + [True] * 2
+    assert body["blown_up"] == 16 and body["branch_count"] == 1
+
+
+def test_oracle_2048_step_scan_output(tmp_path, capsys):
+    # the scan runs at the 1000-step floor; the branches are refined at 2048
+    body = _oracle_body(tmp_path, capsys, ["oracle.steps = 2048", "oracle.slope_min = -45",
+                                           "oracle.slope_max = 45", "oracle.slope_step = 0.05"])
+    assert body["blown_up"] == 104 and body["branch_count"] == 2
+    assert [(b["slope"], b["endpoint"]) for b in body["branches"]] == [
+        (-35.33740129705404, -6.17214612752548e-15), (35.33740129705404, 6.17214612752548e-15)]
+
+
 def test_oracle_prints_its_json_once_through_a_pipe(tmp_path):
-    # two CPUs are claimed so that the scan forks a worker on any machine with
-    # fork; a worker must neither flush its copy of the buffered stdout, which
-    # holds "start" when it forks, nor go on to print the JSON itself
-    code = ("import os, sys\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    # through a block-buffered pipe, "start" comes first and the JSON once after it
+    code = ("import sys\n"
             "from trisol.cli import main\n"
             "print('start')\n"
             "sys.exit(main(['oracle', '--preset', 'p1-interval']))\n")

@@ -1,12 +1,3 @@
-import contextlib
-import os
-import select
-import signal
-import sys
-import threading
-import time
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -273,165 +264,6 @@ def test_values_at_rejects_incompatible_steps(nl):
         branch.values_at(DomainSpec.interval(1.0, 63))
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="sweep forks only where os.fork exists")
-_SPLIT = np.linspace(-60.0, 60.0, 301)  # blown lanes at both ends, finite ones between
-
-
-def _split_sweeps(monkeypatch):
-    """Let `sweep` fork on any machine: 3 CPUs and 64 lanes per worker, so
-    the 301 slopes of _SPLIT go to 3 workers of 101, 100 and 100 lanes."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(oracle, "_FORK_LANES", 64)
-
-
-def _assert_serial_bits(nl, endpoints, blown):
-    want, want_blown, _, _ = oracle._rk4_sweep(nl, 1.0, _SPLIT, 1000, record=False)
-    assert endpoints.tobytes() == want.tobytes() and np.array_equal(blown, want_blown)
-
-
-def _assert_no_child_left():
-    # every worker was reaped: no running child and no zombie
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _in_workers(monkeypatch, share):
-    """Run `share(*args)` instead of `_rk4_sweep` in forked workers only."""
-    rk4, caller = oracle._rk4_sweep, os.getpid()
-    monkeypatch.setattr(oracle, "_rk4_sweep", lambda *args, **kwargs: (
-        rk4 if os.getpid() == caller else share)(*args, **kwargs))
-
-
-@needs_fork
-def test_sweep_split_over_workers_is_bitwise_serial(nl, monkeypatch):
-    _split_sweeps(monkeypatch)
-    fork, forks = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    endpoints, blown = sweep(nl, 1.0, _SPLIT, 1000)
-    assert len(forks) == 2
-    _assert_serial_bits(nl, endpoints, blown)
-    assert all(blown[w::3].any() and not blown[w::3].all() for w in range(3))
-    _assert_no_child_left()
-
-
-def test_sweep_without_fork_runs_serially(nl, monkeypatch):
-    _split_sweeps(monkeypatch)
-    monkeypatch.delattr(os, "fork", raising=False)
-    _assert_serial_bits(nl, *sweep(nl, 1.0, _SPLIT, 1000))
-
-
-@needs_fork
-def test_sweep_does_not_fork_beside_other_threads(nl, monkeypatch):
-    _split_sweeps(monkeypatch)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
-    done = threading.Event()
-    other = threading.Thread(target=done.wait, args=(30.0,))
-    other.start()
-    try:
-        endpoints, blown = sweep(nl, 1.0, _SPLIT, 1000)
-    finally:
-        done.set()
-        other.join(30.0)
-    assert not other.is_alive()
-    _assert_serial_bits(nl, endpoints, blown)
-
-
-@needs_fork
-def test_sweep_names_a_failed_worker(nl, monkeypatch):
-    def fails(*args, **kwargs):
-        raise FloatingPointError("a worker's share")
-    _split_sweeps(monkeypatch)
-    _in_workers(monkeypatch, fails)
-    with pytest.raises(oracle.SweepWorkerError,
-                       match="^sweep worker 1 exited with status 1$"):
-        sweep(nl, 1.0, _SPLIT, 1000)
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_sweep_names_a_worker_with_a_short_result(nl, monkeypatch):
-    # a share one lane short fails its slice assignment into the shared
-    # result, so the worker ends with status 1 like any other failure
-    def short(*args, **kwargs):
-        end, blown, _, _ = rk4(*args, **kwargs)
-        return end[:-1], blown[:-1], None, None
-    rk4 = oracle._rk4_sweep
-    _split_sweeps(monkeypatch)
-    _in_workers(monkeypatch, short)
-    with pytest.raises(oracle.SweepWorkerError,
-                       match="^sweep worker 1 exited with status 1$"):
-        sweep(nl, 1.0, _SPLIT, 1000)
-    _assert_no_child_left()
-
-
-def _running(pid):
-    """Whether pid exists and is not a zombie, by the state in /proc/<pid>/stat."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="the parent-death signal and /proc are Linux's")
-def test_sweep_worker_dies_with_a_killed_caller(nl):
-    # a forked caller runs a sweep with one worker, whose share reports its
-    # pid and sleeps; SIGKILL of the caller must take the worker with it
-    reader, writer = os.pipe()
-    if (caller := os.fork()) == 0:
-        def sleeps(*args, **kwargs):
-            os.write(writer, b"%d\n" % os.getpid())
-            time.sleep(60)
-        try:
-            with pytest.MonkeyPatch.context() as m:
-                _split_sweeps(m)
-                m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # one worker
-                _in_workers(m, sleeps)
-                sweep(nl, 1.0, _SPLIT, 1000)
-        finally:
-            os._exit(0)
-    os.close(writer)
-    try:
-        ready = select.select([reader], [], [], 30.0)[0]
-        worker = int(os.read(reader, 64).split()[0]) if ready else None
-    finally:
-        os.close(reader)
-        os.kill(caller, signal.SIGKILL)
-        os.waitpid(caller, 0)
-    assert worker is not None, "the worker never started its share"
-    try:
-        deadline = time.monotonic() + 2.0
-        while _running(worker) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not _running(worker), "the worker outlived its killed caller"
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(worker, signal.SIGKILL)
-
-
-@needs_fork
-def test_sweep_kills_its_workers_when_the_caller_share_raises(nl, monkeypatch):
-    caller = os.getpid()
-
-    def stuck_workers(*args, **kwargs):
-        if os.getpid() != caller:
-            time.sleep(60)
-        raise FloatingPointError("the caller's share")
-    _split_sweeps(monkeypatch)
-    monkeypatch.setattr(oracle, "_rk4_sweep", stuck_workers)
-    start = time.monotonic()
-    with pytest.raises(FloatingPointError, match="caller's share"):
-        sweep(nl, 1.0, _SPLIT, 1000)
-    assert time.monotonic() - start < 30.0  # the sleeping workers were killed
-    _assert_no_child_left()
-
-
-@needs_fork
-def test_sweep_checks_steps_before_forking(nl, monkeypatch):
-    _split_sweeps(monkeypatch)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before checking steps"))
+def test_sweep_checks_steps(nl):
     with pytest.raises(ValueError, match=f"at least {oracle.MIN_RK4_STEPS} RK4 steps"):
-        sweep(nl, 1.0, _SPLIT, oracle.MIN_RK4_STEPS - 1)
-    _assert_no_child_left()
+        sweep(nl, 1.0, np.linspace(-60.0, 60.0, 301), oracle.MIN_RK4_STEPS - 1)
