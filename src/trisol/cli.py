@@ -304,6 +304,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
+def _scan_edges(endpoints: np.ndarray, blown: np.ndarray) -> np.ndarray:
+    """Lanes i with an unblown sign change or a change of blown flag to lane i + 1."""
+    return np.flatnonzero((endpoints[:-1] * endpoints[1:] <= 0.0) & ~(blown[:-1] | blown[1:])
+                          | (blown[:-1] != blown[1:]))
+
+
 def cmd_oracle(cfg: RunConfig) -> int:
     spec = cfg.domain()
     if spec.ndim != 1:
@@ -315,13 +321,16 @@ def cmd_oracle(cfg: RunConfig) -> int:
     slopes = np.arange(lo, hi + 0.5 * step, step)
     # the scan only places sign changes and blow-ups, so it runs at a quarter
     # of the steps; a lane next to one may change side at `steps`, so every
-    # lane within one lane of an unblown sign change or a change of blown
-    # flag is integrated again at `steps`
+    # lane within one lane of an edge is integrated again at `steps`; an edge
+    # that then touches a lane not integrated again has moved further, and
+    # every lane is scanned at `steps`
     endpoints, blown = sweep(nl, length, slopes, max(MIN_RK4_STEPS, steps // 4))
-    edges = np.flatnonzero((endpoints[:-1] * endpoints[1:] <= 0.0) & ~(blown[:-1] | blown[1:])
-                           | (blown[:-1] != blown[1:]))
+    edges = _scan_edges(endpoints, blown)
     near = np.unique(np.clip(edges[:, None] + np.arange(-1, 3), 0, slopes.size - 1))
-    endpoints[near], blown[near] = sweep(nl, length, slopes[near], steps)
+    if near.size:
+        endpoints[near], blown[near] = sweep(nl, length, slopes[near], steps)
+        if not np.isin(_scan_edges(endpoints, blown)[:, None] + [0, 1], near).all():
+            endpoints, blown = sweep(nl, length, slopes, steps)
     brackets = sign_change_brackets(slopes, endpoints, blown)
     branches = []
     for shot in find_branch(nl, length, brackets, steps):

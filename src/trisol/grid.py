@@ -264,10 +264,7 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
                          ("shift", np.isfinite(shifts))):
         if not finite.all():
             raise ValueError(f"{name} {np.argmin(finite)} of the inertia count is not finite")
-    # equal rows by first occurrence: for so few rows, cheaper than sorting them
-    first = [next(k for k, d in enumerate(weights) if np.array_equal(d, w)) for w in weights]
-    kept, rows = np.unique(np.array(first, dtype=int), return_inverse=True)
-    weights = weights[kept]
+    weights, rows = np.unique(weights, axis=0, return_inverse=True)
     counts = np.empty((len(weights), len(shifts)), dtype=int)
     constant = np.all(weights == weights[:, :1], axis=1)
     symbol = _symbol(domain).ravel()

@@ -458,10 +458,8 @@ def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys):
                                  "slope": 35.33740129709027}]
 
 
-def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, monkeypatch):
-    # the scan runs at a quarter of the steps; the two lanes on each side of
-    # the sign change between 42.40 and 42.41 and of the blown edge between
-    # 42.44 and 42.45 are integrated again at the full 4096
+def _recorded_sweeps(monkeypatch):
+    """Record (slopes, steps, blown) of every `sweep` that `oracle` makes."""
     calls, sweep = [], cli.sweep
 
     def recorded(nl, length, slopes, steps):
@@ -469,6 +467,14 @@ def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, m
         calls.append((slopes.copy(), steps, blown.copy()))
         return endpoints, blown
     monkeypatch.setattr(cli, "sweep", recorded)
+    return calls
+
+
+def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, monkeypatch):
+    # the scan runs at a quarter of the steps; the two lanes on each side of
+    # the sign change between 42.40 and 42.41 and of the blown edge between
+    # 42.44 and 42.45 are integrated again at the full 4096
+    calls = _recorded_sweeps(monkeypatch)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 42.0",
                                            "oracle.slope_max = 42.6",
                                            "oracle.slope_step = 0.01"])
@@ -477,6 +483,35 @@ def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, m
     assert np.round(again, 9).tolist() == [42.39, 42.4, 42.41, 42.42, 42.43, 42.44, 42.45, 42.46]
     assert blown.tolist() == [False] * 6 + [True] * 2
     assert body["blown_up"] == 16 and body["branch_count"] == 1
+
+
+def test_oracle_rescans_every_lane_when_a_root_moves_past_its_window(tmp_path, capsys,
+                                                                     monkeypatch):
+    # at 1024 steps the root lies about 6e-10 below its place at 4096, some
+    # 30 lanes of 2e-11: the lanes integrated again all fall on one side, and
+    # the whole scan is repeated at 4096, which finds the root of the
+    # 4096-step scan
+    calls = _recorded_sweeps(monkeypatch)
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.337401296",
+                                           "oracle.slope_max = 35.337401298",
+                                           "oracle.slope_step = 2e-11"])
+    assert [(slopes.size, steps) for slopes, steps, _ in calls] == [(101, 1024), (4, 4096),
+                                                                    (101, 4096)]
+    assert body["blown_up"] == 0 and body["branch_count"] == 1
+    assert body["branches"] == [{"amplitude": 5.176440898219756,
+                                 "endpoint": -5.551115123125783e-16,
+                                 "interior_sign_changes": 1,
+                                 "slope": 35.33740129709027}]
+
+
+def test_oracle_scan_without_an_edge_sweeps_once(tmp_path, capsys, monkeypatch):
+    calls = _recorded_sweeps(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = p1-interval\noracle.slope_min = 1\n"
+                   "oracle.slope_max = 2\noracle.slope_step = 0.1\n")
+    assert main(["oracle", "--config", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().out)["branch_count"] == 0
+    assert [(slopes.size, steps) for slopes, steps, _ in calls] == [(11, 1024)]
 
 
 def test_oracle_2048_step_scan_output(tmp_path, capsys):
