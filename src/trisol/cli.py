@@ -29,7 +29,7 @@ from .oracle import (MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, find_branch,
                      sign_change_brackets, sweep)
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
-from .spectrum import MIN_EIGEN_COUNT, eigenpairs
+from .spectrum import MIN_EIGEN_COUNT, eigenvalue_table
 
 
 class ConfigError(ValueError):
@@ -45,7 +45,6 @@ _SCHEMA: dict[str, type] = {
     "grid.n": int,
     "grid.nx": int,
     "grid.ny": int,
-    "nonlinearity.name": str,
     "nonlinearity.lambda": float,
     "nonlinearity.delta": float,
     "descent.max_iters": int,
@@ -72,7 +71,6 @@ _SCHEMA: dict[str, type] = {
 # Defaults of the keys only the CLI reads; the domain keys default to the
 # presets' domains, every other unset key to the parameter it sets.
 _DEFAULTS: dict = {
-    "nonlinearity.name": "cubic",
     "eigen.count": 8,
     "oracle.slope_min": -50.0,
     "oracle.slope_max": 50.0,
@@ -138,8 +136,6 @@ class RunConfig:
                 raise ConfigError(exc.args[0]) from exc
         settings.update({k: v for k, v in file_entries.items() if k != "preset"})
         if n is not None:
-            if n < 3:
-                raise ConfigError("--n must be at least 3")
             settings.update(dict.fromkeys(("grid.n", "grid.nx", "grid.ny"), n))
         if out is not None:
             settings["output.dir"] = out
@@ -178,9 +174,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def nonlinearity(self, spec: DomainSpec) -> Nonlinearity:
-        name = self.settings["nonlinearity.name"]
-        if name != "cubic":
-            raise ConfigError(f"unknown nonlinearity preset {name!r}")
         try:
             return cubic_nonlinearity(spec, **self.given(lam="nonlinearity.lambda",
                                                          delta="nonlinearity.delta"))
@@ -281,12 +274,12 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_eigen(cfg: RunConfig) -> int:
     spec = cfg.domain()
-    pairs = eigenpairs(spec, cfg.settings["eigen.count"])
+    table = eigenvalue_table(spec, cfg.settings["eigen.count"])
     body = {
         "grid": spec.describe(),
-        "eigenvalues": [p.lam for p in pairs],
-        "pairs": [{"rank": p.rank, "lambda": p.lam, "mode": list(p.mode)}
-                  for p in pairs],
+        "eigenvalues": [lam for lam, _ in table],
+        "pairs": [{"rank": rank, "lambda": lam, "mode": list(mode)}
+                  for rank, (lam, mode) in enumerate(table, start=1)],
     }
     text = json.dumps(body, indent=2, sort_keys=True)
     print(text)

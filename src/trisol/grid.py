@@ -240,6 +240,11 @@ def _symbol(domain: DomainSpec) -> np.ndarray:
     return functools.reduce(np.add.outer, lams)
 
 
+def index_at_zero(domain: DomainSpec, gprime0: float) -> int:
+    """Morse index of the origin: the stencil eigenvalues at or below g'(0)."""
+    return int(np.count_nonzero(_symbol(domain) <= gprime0))
+
+
 class SingularPivotError(RuntimeError):
     """A pivot block of the inertia count is singular to rounding, so the
     count at that shift is not determined."""

@@ -21,8 +21,8 @@ import numpy as np
 from .analysis import Classification, CriticalPoint
 from .descent import DescentOptions, _armijo_step
 from .energy import EnergyModel
-from .grid import Field, h1_seminorm_sq_values
-from .nonlinearity import TruncationMode, index_at_zero
+from .grid import Field, h1_seminorm_sq_values, index_at_zero
+from .nonlinearity import TruncationMode
 from .spectrum import eigenpairs
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DomainSpec, _symbol
+from .grid import DomainSpec, index_at_zero
 from .spectrum import eigenvalue_table, sandwich_index
 
 _GL_ORDER = 12
@@ -165,9 +165,24 @@ class ConditionGReport:
     failures: list[CheckFailure]
 
 
-def index_at_zero(spec: DomainSpec, gprime0: float) -> int:
-    """Morse index of the origin: the stencil eigenvalues at or below g'(0)."""
-    return int(np.count_nonzero(_symbol(spec) <= gprime0))
+def _window_failures(g: Callable, delta: float, k: int, lam_k: float, lam_k1: float,
+                     samples: int) -> list[CheckFailure]:
+    """The sandwich failures of g at samples points, as validate_condition_g checks."""
+    ts = np.linspace(-delta, delta, samples)
+    ts = ts[np.abs(ts) >= 1e-8]
+    quot = g(ts) / ts
+    failures = []
+    if np.any(quot < lam_k - 1e-9):
+        i = int(np.argmin(quot))
+        failures.append(CheckFailure(
+            "sandwich_lower", f"g(t)/t = {quot[i]:.6g} < lambda_{k} = {lam_k:.6g}",
+            witness=float(ts[i])))
+    if np.any(quot > lam_k1 + 1e-9):
+        i = int(np.argmax(quot))
+        failures.append(CheckFailure(
+            "sandwich_upper", f"g(t)/t = {quot[i]:.6g} > lambda_{k + 1} = {lam_k1:.6g}",
+            witness=float(ts[i])))
+    return failures
 
 
 def validate_condition_g(nl: Nonlinearity, spec: DomainSpec,
@@ -209,23 +224,8 @@ def validate_condition_g(nl: Nonlinearity, spec: DomainSpec,
             "index", f"claimed k = {nl.k} but g'(0) = {gp0:.6g} gives k = {k_computed}",
             witness=gp0))
 
-    table = eigenvalue_table(spec, nl.k + 1)
-    lam_k, lam_k1 = table[nl.k - 1][0], table[nl.k][0]
-    ts = np.linspace(-nl.delta, nl.delta, samples)
-    ts = ts[np.abs(ts) >= 1e-8]
-    quot = nl.g(ts) / ts
-    if np.any(quot < lam_k - 1e-9):
-        i = int(np.argmin(quot))
-        failures.append(CheckFailure(
-            "sandwich_lower",
-            f"g(t)/t = {quot[i]:.6g} < lambda_{nl.k} = {lam_k:.6g}",
-            witness=float(ts[i])))
-    if np.any(quot > lam_k1 + 1e-9):
-        i = int(np.argmax(quot))
-        failures.append(CheckFailure(
-            "sandwich_upper",
-            f"g(t)/t = {quot[i]:.6g} > lambda_{nl.k + 1} = {lam_k1:.6g}",
-            witness=float(ts[i])))
+    (lam_k, _), (lam_k1, _) = eigenvalue_table(spec, nl.k + 1)[-2:]
+    failures += _window_failures(nl.g, nl.delta, nl.k, lam_k, lam_k1, samples)
 
     return ConditionGReport(
         ok=not failures,
@@ -296,16 +296,9 @@ def preset_corollary(spec: DomainSpec, lambda_val: float,
     a_plus = find_root(+1.0)
     a_minus = find_root(-1.0)
 
-    lam_k, lam_k1 = table[k - 1][0], table[k][0]
-
-    def sandwich_holds(delta):
-        ts = np.linspace(-delta, delta, 257)
-        ts = ts[np.abs(ts) >= 1e-8]
-        quot = g(ts) / ts
-        return bool(np.all(quot >= lam_k - 1e-9) and np.all(quot <= lam_k1 + 1e-9))
-
+    (lam_k, _), (lam_k1, _) = table[-2:]
     delta = 1e-3
-    while sandwich_holds(2.0 * delta) and delta < 1e6:
+    while not _window_failures(g, 2.0 * delta, k, lam_k, lam_k1, 257) and delta < 1e6:
         delta *= 2.0
 
     return Nonlinearity(g=g, gprime=gprime, a_minus=a_minus, a_plus=a_plus,

@@ -1,13 +1,14 @@
 """Closed-form Dirichlet Laplacian spectrum of the interval and rectangle.
 
-Eigenvalues are listed in ascending order *with multiplicity*; equal values
-are ordered by their mode tuple so the listing is deterministic.
+Mode m of an axis of length L has the eigenvalue (m pi / L)^2, and axes
+add.  Listing and counting enumerate the modes up to a bound once, at most
+MAX_MODES of them; eigenvalues are listed ascending *with multiplicity*,
+equal values in mode-tuple order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 from .grid import DomainSpec, Field, quadrature
 
 MIN_EIGEN_COUNT = 1
+MAX_MODES = 10 ** 6  # per enumeration; a listing that long takes about 300 MB
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,15 +35,29 @@ class Eigenpair:
     phi: Field
 
 
+def _enumerate(spec: DomainSpec, mu: float) -> np.ndarray:
+    """Eigenvalues of the modes up to int(L sqrt(mu) / pi) + 1 per axis, indexed by mode - 1."""
+    extents = [L * math.sqrt(mu) / math.pi for L in spec.lengths]
+    if (size := math.prod(e + 1 for e in extents)) > MAX_MODES:
+        limit = math.pi ** 2 * (MAX_MODES / math.prod(spec.lengths)) ** (2 / spec.ndim)
+        raise ValueError(f"the Dirichlet modes up to {mu:.6g} fill about {size:.3g} entries, "
+                         f"more than {MAX_MODES}; on this domain they fit up to about {limit:.4g}")
+    # Python's scalar ** 2: numpy's rounds some of these values differently
+    return functools.reduce(np.add.outer, [
+        np.array([(m * math.pi / L) ** 2 for m in range(1, int(e) + 2)])
+        for e, L in zip(extents, spec.lengths)])
+
+
 def eigenvalue_table(spec: DomainSpec, count: int) -> list[tuple[float, tuple[int, ...]]]:
     """The count smallest (eigenvalue, mode) pairs, sorted with multiplicity."""
-    if count < MIN_EIGEN_COUNT:
-        raise ValueError(f"count must be at least {MIN_EIGEN_COUNT}")
-    # the count smallest modes have every index <= count
-    table = [(sum((m * math.pi / L) ** 2 for m, L in zip(mode, spec.lengths)), mode)
-             for mode in itertools.product(range(1, count + 1), repeat=spec.ndim)]
-    table.sort(key=lambda t: (t[0], t[1]))
-    return table[:count]
+    if not MIN_EIGEN_COUNT <= count <= MAX_MODES:
+        raise ValueError(f"count must be at least {MIN_EIGEN_COUNT} and at most {MAX_MODES}")
+    # the count smallest lie at or below the corner of an index cube of count modes
+    side = math.ceil(count ** (1 / spec.ndim))
+    values = _enumerate(spec, sum((side * math.pi / L) ** 2 for L in spec.lengths))
+    first = np.argsort(values, axis=None, kind="stable")[:count]
+    modes = np.transpose(np.unravel_index(first, values.shape)) + 1
+    return list(zip(values.ravel()[first].tolist(), map(tuple, modes.tolist())))
 
 
 def _sample_mode(spec: DomainSpec, mode: tuple[int, ...]) -> Field:
@@ -52,13 +68,8 @@ def _sample_mode(spec: DomainSpec, mode: tuple[int, ...]) -> Field:
 
 
 def eigenpairs(spec: DomainSpec, count: int) -> list[Eigenpair]:
-    """The count smallest Dirichlet eigenpairs of the domain.
-
-    Interval of length L: lam = (m pi / L)^2 with phi ~ sin(m pi x / L).
-    Rectangle a x b: lam = pi^2 (m^2/a^2 + n^2/b^2) with the product of
-    sines.  Eigenfunctions are renormalized to unit discrete l2 norm after
-    sampling.
-    """
+    """The count smallest Dirichlet eigenpairs: phi is the product over the
+    axes of sin(m pi x / L), renormalized to unit discrete l2 norm."""
     return [
         Eigenpair(rank=i + 1, lam=lam, mode=mode, phi=_sample_mode(spec, mode))
         for i, (lam, mode) in enumerate(eigenvalue_table(spec, count))
@@ -69,14 +80,10 @@ def sandwich_index(spec: DomainSpec, mu: float) -> int:
     """Largest k with lambda_k <= mu, counting multiplicity.
 
     Raises ValueError unless lambda_1 < mu < inf (no admissible index
-    exists below; the sandwich condition needs k >= 2 anyway).
+    exists below; the sandwich condition needs k >= 2 anyway) and the
+    modes up to mu fit in MAX_MODES.
     """
-    lam1 = eigenvalue_table(spec, 1)[0][0]
+    lam1 = sum((math.pi / L) ** 2 for L in spec.lengths)
     if not (lam1 < mu < math.inf):
         raise ValueError(f"mu = {mu} is not finite and above the first eigenvalue {lam1}")
-    count = 8
-    while True:
-        table = eigenvalue_table(spec, count)
-        if table[-1][0] > mu:
-            return sum(1 for lam, _ in table if lam <= mu)
-        count *= 2
+    return int(np.count_nonzero(_enumerate(spec, mu) <= mu))

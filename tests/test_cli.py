@@ -85,7 +85,6 @@ _VALID_SETTINGS = {
     "grid.n": "31",
     "grid.nx": "15",
     "grid.ny": "7",
-    "nonlinearity.name": "cubic",
     "nonlinearity.lambda": "70",
     "nonlinearity.delta": "0.5",
     "descent.max_iters": "100",
@@ -111,7 +110,7 @@ _VALID_SETTINGS = {
 
 
 def test_valid_settings_cover_the_schema():
-    assert len(_SCHEMA) == 30
+    assert len(_SCHEMA) == 29
     assert set(_VALID_SETTINGS) == set(_SCHEMA)
 
 
@@ -290,10 +289,12 @@ def test_solve_command_large_interval(tmp_path, capsys):
     assert [p["morse_index"] for p in report["points"]] == [0, 0, 1, 2]
 
 
-@pytest.mark.parametrize("line", ["poisson.tol = 1e-10", "morse.num_eigs = 0"])
+@pytest.mark.parametrize("line", ["poisson.tol = 1e-10", "morse.num_eigs = 0",
+                                  "nonlinearity.name = cubic"])
 def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys, line):
     # Poisson solves are direct and Morse indices are exact counts, so the
-    # old tolerance and eigenvalue-window keys are unknown now
+    # old tolerance and eigenvalue-window keys are unknown now, and so is
+    # the nonlinearity name, whose only value was cubic
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -315,13 +316,17 @@ _ALL_COMMANDS = ("solve", "eigen", "validate", "oracle")
                                   "oracle.slope_max = -60", "oracle.steps = 512",
                                   "oracle.slope_step = 1e-15",
                                   "validate.samples = 50", "eigen.count = 0",
-                                  "descent.initial_step = inf", "descent.grad_tol = nan"])
+                                  "descent.initial_step = inf", "descent.grad_tol = nan",
+                                  "--n 2"])
 def test_out_of_range_option_is_exit_2(tmp_path, capsys, line):
-    # every command checks the whole configuration before any work
+    # every command checks the whole configuration before any work; a line
+    # that starts with "--" is a flag
+    flag = line.startswith("--")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
+    cfg.write_text("preset = p1-interval\ngrid.n = 31\n" + ("" if flag else f"{line}\n"))
     for command in _ALL_COMMANDS:
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        argv += line.split() if flag else []
         assert main(argv) == 2, command
         assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # and nothing is written
@@ -350,6 +355,17 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _main_in_capped_child(tmp_path, lines, commands):
+    """Exit codes and stderr of main for each command, with the config lines
+    on the interval n = 31 or the rectangle at 15 x 15, all in one child
+    with a 60 s timeout and a 1 GB address-space cap."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid.n = 31\ngrid.nx = 15\ngrid.ny = 15\n{lines}\n")
+    code = ("from trisol.cli import main\n"
+            f"print([main([c, '--config', {str(cfg)!r}, '--out', 'out']) for c in {commands!r}])")
+    done = _run_python(code, tmp_path, timeout=60, preexec_fn=_cap_address_space)
+    return json.loads(done.stdout.strip().splitlines()[-1]), done.stderr
+
 
 @pytest.mark.skipif(os.name != "posix", reason="caps memory with resource.setrlimit")
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -359,18 +375,32 @@ def _cap_address_space():
     ("nonlinearity.delta", ("solve", "validate", "oracle"))])
 def test_non_finite_key_is_exit_2(tmp_path, key, commands, value):
     # such values once hung a run or filled memory (lambda = nan grew the
-    # eigenvalue table without end), so every command that reads the key
-    # runs in a child with a timeout and a 1 GB address-space cap
+    # eigenvalue table without end)
     kind = "rectangle" if key in ("domain.width", "domain.height") else "interval"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"domain.kind = {kind}\ngrid.n = 31\ngrid.nx = 15\ngrid.ny = 15\n"
-                   f"{key} = {value}\n")
-    code = ("from trisol.cli import main\n"
-            f"print([main([c, '--config', {str(cfg)!r}, '--out', 'out']) for c in {commands!r}])")
-    done = _run_python(code, tmp_path, timeout=60, preexec_fn=_cap_address_space)
-    assert done.stdout.strip().splitlines()[-1] == str([2] * len(commands))
-    assert done.stderr.count("configuration error") == len(commands)
+    codes, err = _main_in_capped_child(tmp_path, f"domain.kind = {kind}\n{key} = {value}",
+                                       commands)
+    assert codes == [2] * len(commands)
+    assert err.count("configuration error") == len(commands)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="caps memory with resource.setrlimit")
+@pytest.mark.parametrize("kind, line, codes", [
+    ("rectangle", "nonlinearity.lambda = 1e6", {"validate": 1}),
+    ("rectangle", "nonlinearity.lambda = 1e12", {"validate": 2, "solve": 2}),
+    ("rectangle", "nonlinearity.lambda = 1e300", {"validate": 2, "solve": 2}),
+    ("rectangle", "eigen.count = 50000", {"eigen": 0}),
+    ("interval", "nonlinearity.lambda = 1e6", {"validate": 1}),
+    ("interval", "nonlinearity.lambda = 1e12", {"validate": 1, "solve": 1}),
+    ("interval", "nonlinearity.lambda = 1e300", {"validate": 2, "solve": 2})])
+def test_large_input_ends_inside_the_cap(tmp_path, kind, line, codes):
+    # the modes up to lambda, or up to the eigen.count smallest, are
+    # enumerated within the cap, and an enumeration too large to hold is a
+    # named error raised before it allocates
+    got, err = _main_in_capped_child(tmp_path, f"domain.kind = {kind}\n{line}", tuple(codes))
+    assert dict(zip(codes, got)) == codes
+    assert "Traceback" not in err
+    assert err.count("configuration error") == list(codes.values()).count(2)
 
 
 def _optional_numpy_modules_after(argv, cwd):

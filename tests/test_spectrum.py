@@ -1,8 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from trisol.grid import DomainSpec, apply_neg_laplacian, quadrature
-from trisol.spectrum import eigenpairs, sandwich_index
+from trisol.spectrum import eigenpairs, eigenvalue_table, sandwich_index
 
 PI2 = np.pi**2
 
@@ -88,3 +91,33 @@ def test_sandwich_index_monotone():
     mus = np.linspace(20.0, 200.0, 61)
     ks = [sandwich_index(spec, mu) for mu in mus]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
+
+
+def _product_table(spec, count):
+    """The count smallest (eigenvalue, mode) pairs from every mode with
+    indices up to count, sorted by value and then by mode."""
+    table = [(sum((m * math.pi / L) ** 2 for m, L in zip(mode, spec.lengths)), mode)
+             for mode in itertools.product(range(1, count + 1), repeat=spec.ndim)]
+    table.sort()
+    return table[:count]
+
+
+# the intervals run past the modes where numpy's ** 2 rounds differently
+# from Python's (119 at L = 0.6, 283 at L = 2)
+@pytest.mark.parametrize("lengths, count", [
+    ((0.6,), 300), ((2.0,), 300), ((1.0, 1.0), 200), ((2.0, 1.0), 200),
+    ((1.0, 0.6), 200), ((0.7, 3.3), 200), ((1.0, 20.0), 200)])
+def test_spectrum_matches_the_product_over_modes_bitwise(lengths, count):
+    spec = DomainSpec(lengths, (7,) * len(lengths))
+    table = _product_table(spec, count)
+    assert eigenvalue_table(spec, count) == table
+    assert [eigenvalue_table(spec, k) for k in (1, 2, 3, 50)] == [
+        table[:k] for k in (1, 2, 3, 50)]
+    # mu at every listed eigenvalue, ties included, and halfway to the next;
+    # below the last one, every mode at or below mu is listed
+    values = [lam for lam, _ in table]
+    last = values[-1]
+    mus = [mu for mu in values[1:] + [0.5 * (a + b) for a, b in zip(values, values[1:])]
+           if mu < last]
+    assert [sandwich_index(spec, mu) for mu in mus] == [
+        sum(lam <= mu for lam in values) for mu in mus]
