@@ -62,15 +62,15 @@ class DomainSpec:
     def ndim(self) -> int:
         return len(self.lengths)
 
-    @property
+    @functools.cached_property
     def spacings(self) -> tuple[float, ...]:
         return tuple(L / (n + 1) for L, n in zip(self.lengths, self.counts))
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return int(np.prod(self.counts))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         """Quadrature weight h^d of one interior node."""
         return float(np.prod(self.spacings))
@@ -269,7 +269,11 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
                          ("shift", np.isfinite(shifts))):
         if not finite.all():
             raise ValueError(f"{name} {np.argmin(finite)} of the inertia count is not finite")
-    weights, rows = np.unique(weights, axis=0, return_inverse=True)
+    # each row maps to the first row equal to it (-0.0 == 0.0, as counts agree)
+    first = [next(j for j in range(i + 1) if np.array_equal(w, weights[j]))
+             for i, w in enumerate(weights)]
+    keep, rows = np.unique(first, return_inverse=True)
+    weights = weights[keep]
     counts = np.empty((len(weights), len(shifts)), dtype=int)
     constant = np.all(weights == weights[:, :1], axis=1)
     symbol = _symbol(domain).ravel()
@@ -329,7 +333,7 @@ def _dst(a: np.ndarray) -> np.ndarray:
         ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
         ext[..., 1:n + 1] = a
         ext[..., n + 2:] = -a[..., ::-1]
-        a = np.moveaxis(-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag, -1, 0)
+        a = (-0.5 * np.fft.rfft(ext)[..., 1:n + 1].imag).transpose(-1, *range(a.ndim - 1))
     return a
 
 

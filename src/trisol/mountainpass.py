@@ -1,15 +1,15 @@
 """Path-based search for the third critical point between the two minimizers.
 
 A discrete path of fields joins the negative and positive minimizers.  Each
-iteration locates the maximum-energy interior node, moves it by one
-backtracked step, and re-equidistributes the remaining nodes by discrete H1
-arclength.  A pure descent step would slide the maximum node off the ridge,
-so its step reflects the along-path component of the preconditioned
-direction (descend transversally, climb along the path), stays within the
-node's stretch of the path and is accepted on residual decrease, falling
-back to the descent's Armijo step while the path is far from any saddle.
-The maximum node is pinned during redistribution so it can converge in
-place.
+iteration moves the maximum-energy interior node by one backtracked step.
+A pure descent step would slide it off the ridge, so its step reflects the
+along-path component of the preconditioned direction (descend transversally,
+climb along the path), stays within the node's stretch of the path and is
+accepted on residual decrease, falling back to the descent's Armijo step far
+from any saddle.  As in the simplified string method (E, Ren & Vanden-Eijnden
+2007), the path is re-equidistributed by H1 arclength, the maximum pinned,
+only when the maximum moves to another node or on every RESPACE_EVERY-th
+step; otherwise only the moved node's energy is recomputed.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .energy import EnergyModel
 from .grid import Field, h1_seminorm_sq_values, index_at_zero
 from .nonlinearity import TruncationMode
 from .spectrum import eigenpairs
+
+RESPACE_EVERY = 4  # every this many steps the path is re-spaced, peak moved or not
 
 
 class PathCollapseError(RuntimeError):
@@ -135,7 +137,7 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
     tol = opts.grad_tol * model.nl.scale
     nodes = _initial_path(model, u_minus, u_plus, opts, perturbation)
     energies = model.phi_rows(nodes)
-    last = opts.path_count
+    last, pinned = opts.path_count, None
     for it in range(opts.max_iters + 1):
         jmax = 1 + int(np.argmax(energies[1:-1]))
         u = nodes[jmax]
@@ -157,8 +159,11 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
         moved = _descend_max_node(model, u, residual, opts, tangent)
         if moved is not None:
             nodes[jmax] = moved
-        nodes = _redistribute(spec, nodes, jmax)
-        energies = model.phi_rows(nodes)
+        if jmax != pinned or (it + 1) % RESPACE_EVERY == 0:
+            nodes, pinned = _redistribute(spec, nodes, jmax), jmax
+            energies = model.phi_rows(nodes)
+        elif moved is not None:
+            energies[jmax] = model.phi_rows(moved)[0]
 
 
 def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,

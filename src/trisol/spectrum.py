@@ -35,6 +35,14 @@ class Eigenpair:
     phi: Field
 
 
+def _axis_values(L: float, modes) -> list[float]:
+    """(m pi / L)^2 per mode m, by Python's ** 2: numpy's rounds some differently."""
+    try:
+        return [(m * math.pi / L) ** 2 for m in modes]
+    except OverflowError:
+        raise ValueError(f"side length {L:g} is too short: its eigenvalues overflow") from None
+
+
 def _enumerate(spec: DomainSpec, mu: float) -> np.ndarray:
     """Eigenvalues of the modes up to int(L sqrt(mu) / pi) + 1 per axis, indexed by mode - 1."""
     extents = [L * math.sqrt(mu) / math.pi for L in spec.lengths]
@@ -42,10 +50,8 @@ def _enumerate(spec: DomainSpec, mu: float) -> np.ndarray:
         limit = math.pi ** 2 * (MAX_MODES / math.prod(spec.lengths)) ** (2 / spec.ndim)
         raise ValueError(f"the Dirichlet modes up to {mu:.6g} fill about {size:.3g} entries, "
                          f"more than {MAX_MODES}; on this domain they fit up to about {limit:.4g}")
-    # Python's scalar ** 2: numpy's rounds some of these values differently
     return functools.reduce(np.add.outer, [
-        np.array([(m * math.pi / L) ** 2 for m in range(1, int(e) + 2)])
-        for e, L in zip(extents, spec.lengths)])
+        np.array(_axis_values(L, range(1, int(e) + 2))) for e, L in zip(extents, spec.lengths)])
 
 
 def eigenvalue_table(spec: DomainSpec, count: int) -> list[tuple[float, tuple[int, ...]]]:
@@ -54,7 +60,7 @@ def eigenvalue_table(spec: DomainSpec, count: int) -> list[tuple[float, tuple[in
         raise ValueError(f"count must be at least {MIN_EIGEN_COUNT} and at most {MAX_MODES}")
     # the count smallest lie at or below the corner of an index cube of count modes
     side = math.ceil(count ** (1 / spec.ndim))
-    values = _enumerate(spec, sum((side * math.pi / L) ** 2 for L in spec.lengths))
+    values = _enumerate(spec, sum(_axis_values(L, [side])[0] for L in spec.lengths))
     first = np.argsort(values, axis=None, kind="stable")[:count]
     modes = np.transpose(np.unravel_index(first, values.shape)) + 1
     return list(zip(values.ravel()[first].tolist(), map(tuple, modes.tolist())))
@@ -83,7 +89,7 @@ def sandwich_index(spec: DomainSpec, mu: float) -> int:
     exists below; the sandwich condition needs k >= 2 anyway) and the
     modes up to mu fit in MAX_MODES.
     """
-    lam1 = sum((math.pi / L) ** 2 for L in spec.lengths)
+    lam1 = sum(_axis_values(L, [1])[0] for L in spec.lengths)
     if not (lam1 < mu < math.inf):
         raise ValueError(f"mu = {mu} is not finite and above the first eigenvalue {lam1}")
     return int(np.count_nonzero(_enumerate(spec, mu) <= mu))

@@ -287,8 +287,8 @@ def test_count_below_duplicate_rows_match_single_rows(grid):
     nl = cubic_nonlinearity(spec)
     rng = np.random.default_rng(47)
     a, b = (nl.gprime(rng.uniform(nl.a_minus, nl.a_plus, spec.size)) for _ in range(2))
-    constant = np.full(spec.size, nl.gprime(0.0))
-    stack = np.stack([b, a, constant, b, -a, a])
+    constant, zero = np.full(spec.size, nl.gprime(0.0)), np.zeros(spec.size)
+    stack = np.stack([b, a, constant, b, -a, a, -zero, zero])
     shifts = np.array([-50.0, -1.0, 1.0, 50.0, 500.0])
     expected = np.stack([count_below(spec, row[None], shifts)[0] for row in stack])
     assert np.array_equal(count_below(spec, stack, shifts), expected)

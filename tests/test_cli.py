@@ -392,11 +392,14 @@ def test_non_finite_key_is_exit_2(tmp_path, key, commands, value):
     ("rectangle", "eigen.count = 50000", {"eigen": 0}),
     ("interval", "nonlinearity.lambda = 1e6", {"validate": 1}),
     ("interval", "nonlinearity.lambda = 1e12", {"validate": 1, "solve": 1}),
-    ("interval", "nonlinearity.lambda = 1e300", {"validate": 2, "solve": 2})])
+    ("interval", "nonlinearity.lambda = 1e300", {"validate": 2, "solve": 2}),
+    ("interval", "domain.length = 1e-160",
+     {"eigen": 1, "validate": 2, "solve": 2, "oracle": 2})])
 def test_large_input_ends_inside_the_cap(tmp_path, kind, line, codes):
     # the modes up to lambda, or up to the eigen.count smallest, are
     # enumerated within the cap, and an enumeration too large to hold is a
-    # named error raised before it allocates
+    # named error raised before it allocates; so is a side so short that its
+    # eigenvalues overflow
     got, err = _main_in_capped_child(tmp_path, f"domain.kind = {kind}\n{line}", tuple(codes))
     assert dict(zip(codes, got)) == codes
     assert "Traceback" not in err

@@ -26,6 +26,9 @@ def test_spacing_is_derived():
     spec2 = DomainSpec.rectangle(1.0, 3.0, 4, 5)
     assert spec2.spacings == (0.2, 0.5)
     assert spec2.cell_volume == pytest.approx(0.1)
+    # the derived values are cached, but equality and hashing read only the fields
+    fresh = DomainSpec.rectangle(1.0, 3.0, 4, 5)
+    assert spec2 == fresh and hash(spec2) == hash(fresh) and "spacings" not in vars(fresh)
 
 
 def test_field_validation():

@@ -1,14 +1,14 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
-from trisol.analysis import Classification
+from trisol import mountainpass
+from trisol.analysis import Classification, morse_index
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
 from trisol.grid import DomainSpec, h1_seminorm_sq_values, neg_laplacian_values
-from trisol.mountainpass import (MPOptions, PathCollapseError, _h1_reflection,
-                                 _initial_path, _redistribute, find_mountain_pass)
+from trisol.mountainpass import (RESPACE_EVERY, MPOptions, PathCollapseError,
+                                 _h1_reflection, _initial_path, _redistribute,
+                                 find_mountain_pass)
 from trisol.nonlinearity import TruncationMode
 from trisol.presets import build_preset, cubic_nonlinearity
 from trisol.spectrum import eigenpairs
@@ -208,29 +208,87 @@ def test_redistribute_equals_node_by_node_loop(pin):
 
 
 def test_path_search_evaluates_energy_once_per_iteration(p1, monkeypatch):
-    # a deterministic work count: one phi_rows sweep for the initial path and
-    # one per iteration; phi_values only for the two endpoint checks and the
-    # returned point (calls nested in another counted call are not counted)
-    calls, open_calls = Counter(), []
+    # a deterministic work count: one full phi_rows sweep for the initial path
+    # and one per re-spacing, one single-row phi_rows for each accepted move
+    # that no re-spacing follows, and none for a rejected one; phi_values only
+    # for the two endpoint checks and the returned point (calls nested in
+    # another counted call are not counted)
+    events, open_calls = [], []
 
-    def count(name):
-        original = getattr(EnergyModel, name)
+    def log(owner, name, event):
+        original = getattr(owner, name)
 
-        def wrapper(self, *args):
-            calls[name] += not open_calls
+        def wrapper(*args):
+            nested = bool(open_calls)
             open_calls.append(name)
             try:
-                return original(self, *args)
+                result = original(*args)
             finally:
                 open_calls.pop()
-        monkeypatch.setattr(EnergyModel, name, wrapper)
+            if not nested:
+                events.append(event(args, result))
+            return result
+        monkeypatch.setattr(owner, name, wrapper)
 
-    count("phi_rows")
-    count("phi_values")
+    log(EnergyModel, "phi_rows", lambda args, r: "row" if args[1].ndim == 1 else "path")
+    log(EnergyModel, "phi_values", lambda args, r: "value")
+    log(mountainpass, "_descend_max_node", lambda args, r: "stay" if r is None else "move")
+    log(mountainpass, "_redistribute", lambda args, r: "respace")
     star = find_mountain_pass(p1["models"][TruncationMode.FULL], p1["minus"], p1["plus"])
     assert star.converged and star.iterations > 10
-    assert calls["phi_rows"] == star.iterations + 1
-    assert calls["phi_values"] == 3
+    assert events.count("move") + events.count("stay") == star.iterations
+    respaces = events.count("respace")
+    assert events.count("path") == 1 + respaces
+    assert star.iterations // RESPACE_EVERY <= respaces < star.iterations
+    assert events.count("row") == sum(a == "move" and b != "respace"
+                                      for a, b in zip(events, events[1:]))
+    assert events.count("value") == 3
+
+
+def _path_history(model, minus, plus, monkeypatch):
+    """Copies of (nodes, energies, max_index) at every callback, and the
+    iterations after whose step the path was re-spaced."""
+    history, respaced = [], []
+    original = mountainpass._redistribute
+
+    def redistribute(*args):
+        respaced.append(len(history) - 1)
+        return original(*args)
+
+    def watch(info):
+        state = info["state"]
+        assert info["iteration"] == len(history)
+        history.append((state.nodes.copy(), state.energies.copy(), state.max_index))
+
+    monkeypatch.setattr(mountainpass, "_redistribute", redistribute)
+    star = find_mountain_pass(model, minus, plus, MPOptions(callback=watch))
+    assert star.converged
+    return history, respaced
+
+
+@pytest.mark.parametrize("case", ["p1", "rectangle"])
+def test_path_respacing_schedule(p1, case, monkeypatch):
+    if case == "p1":
+        model, minus, plus = p1["models"][TruncationMode.FULL], p1["minus"], p1["plus"]
+    else:
+        spec = DomainSpec.rectangle(1.0, 2.0, 23, 11)
+        _, _, model, minus, plus = _minimizers(spec, cubic_nonlinearity(spec, 30.0))
+    history, respaced = _path_history(model, minus, plus, monkeypatch)
+    pinned = None
+    for it, ((nodes, _, jmax), (after, _, _)) in enumerate(zip(history, history[1:])):
+        if it in respaced:
+            pinned = jmax
+            continue
+        # a step without re-spacing keeps the pinned peak and moves only it
+        assert jmax == pinned
+        others = np.arange(len(nodes)) != jmax
+        assert np.array_equal(after[others], nodes[others])
+    # the path is re-spaced at the first step and at most every fourth one
+    assert np.diff([-1] + respaced + [len(history) - 1]).max() <= RESPACE_EVERY
+    assert respaced[0] == 0
+    for nodes, energies, _ in history:
+        # no energy is stale: every entry is what a full sweep gives
+        assert np.array_equal(energies, model.phi_rows(nodes))
 
 
 @pytest.mark.parametrize("preset", ["p1-interval", "p2-square"])
@@ -266,6 +324,21 @@ def test_path_search_iterations_across_lambda(lam):
     # on the p1 grid the iteration count used to swing from 94 to 2790
     # across this window
     spec, nl, full_model, minus, plus = _solve_minimizers(127, lam)
+    _check_converges_to_index_one(full_model, minus, plus)
+
+
+@pytest.mark.parametrize("lengths, counts, lam", [
+    ((1.0, 1.0), (63, 63), 55.0), ((1.0, 1.0), (63, 63), 70.0),
+    ((1.0, 1.0), (63, 63), 78.0), ((1.0, 0.6), (47, 23), 80.0),
+    ((1.0, 2.0), (23, 11), 30.0)])
+def test_path_search_iterations_in_2d(lengths, counts, lam):
+    spec = DomainSpec(lengths, counts)
+    _, _, full_model, minus, plus = _minimizers(spec, cubic_nonlinearity(spec, lam))
+    _check_converges_to_index_one(full_model, minus, plus)
+
+
+def _check_converges_to_index_one(full_model, minus, plus):
     star = find_mountain_pass(full_model, minus, plus)
     assert star.converged
     assert star.iterations <= 200
+    assert morse_index(full_model, [star.u])[0].index == 1

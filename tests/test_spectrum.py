@@ -86,6 +86,15 @@ def test_sandwich_index_below_first():
         sandwich_index(spec, 0.5 * PI2)
 
 
+@pytest.mark.parametrize("lengths, counts", [((1e-160,), (31,)), ((1.0, 1e-160), (15, 15))])
+def test_overflowing_eigenvalues_are_a_named_error(lengths, counts):
+    # Python's float ** 2 raises OverflowError; the spectrum says which side
+    spec = DomainSpec(lengths, counts)
+    for read in (lambda: eigenvalue_table(spec, 4), lambda: sandwich_index(spec, 60.0)):
+        with pytest.raises(ValueError, match="side length 1e-160 is too short"):
+            read()
+
+
 def test_sandwich_index_monotone():
     spec = DomainSpec.rectangle(1.0, 1.0, 15, 15)
     mus = np.linspace(20.0, 200.0, 61)
