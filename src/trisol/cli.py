@@ -25,7 +25,7 @@ from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions, PathCollapseError
 from .nonlinearity import MIN_VALIDATE_SAMPLES, Nonlinearity, validate_condition_g
-from .oracle import (MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, find_branch,
+from .oracle import (MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, fan_slopes, find_branch,
                      sign_change_brackets, sweep)
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
@@ -314,19 +314,25 @@ def cmd_oracle(cfg: RunConfig) -> int:
     slopes = np.arange(lo, hi + 0.5 * step, step)
     # the scan only places sign changes and blow-ups, so it runs at a quarter
     # of the steps; a lane next to one may change side at `steps`, so every
-    # lane within one lane of an edge is integrated again at `steps`; an edge
-    # that then touches a lane not integrated again has moved further, and
-    # every lane is scanned at `steps`
+    # lane within one lane of an edge is integrated again at `steps`, together
+    # with the round-1 slopes of the scan's brackets, which `find_branch` takes
+    # for every bracket that `steps` leaves in place; an edge that then touches
+    # a lane not integrated again has moved further, and every lane is scanned
+    # at `steps`
     endpoints, blown = sweep(nl, length, slopes, max(MIN_RK4_STEPS, steps // 4))
     edges = _scan_edges(endpoints, blown)
     near = np.unique(np.clip(edges[:, None] + np.arange(-1, 3), 0, slopes.size - 1))
+    swept = None
     if near.size:
-        endpoints[near], blown[near] = sweep(nl, length, slopes[near], steps)
+        fans = fan_slopes(sign_change_brackets(slopes, endpoints, blown))
+        lanes = np.concatenate([slopes[near], fans.ravel()])
+        swept = (lanes, *sweep(nl, length, lanes, steps))
+        endpoints[near], blown[near] = swept[1][:near.size], swept[2][:near.size]
         if not np.isin(_scan_edges(endpoints, blown)[:, None] + [0, 1], near).all():
             endpoints, blown = sweep(nl, length, slopes, steps)
     brackets = sign_change_brackets(slopes, endpoints, blown)
     branches = []
-    for shot in find_branch(nl, length, brackets, steps):
+    for shot in find_branch(nl, length, brackets, steps, swept):
         interior = shot.values[1:-1]
         crossings = int(np.sum(interior[:-1] * interior[1:] < 0.0))
         branches.append({

@@ -160,8 +160,10 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
         if moved is not None:
             nodes[jmax] = moved
         if jmax != pinned or (it + 1) % RESPACE_EVERY == 0:
+            # the endpoints keep their bits and energies; so does the pinned
+            # peak, but it has usually just moved and is evaluated again
             nodes, pinned = _redistribute(spec, nodes, jmax), jmax
-            energies = model.phi_rows(nodes)
+            energies[1:-1] = model.phi_rows(nodes[1:-1])
         elif moved is not None:
             energies[jmax] = model.phi_rows(moved)[0]
 

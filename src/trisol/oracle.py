@@ -4,7 +4,10 @@ Integrates u'' = -g(u) from the left endpoint with classical RK4 and the
 *untruncated* g, so agreement with the variational solver independently
 certifies that the truncated solutions solve the original equation.
 Trajectories that leave 10 * max(a+, -a-) are frozen, flagged as blown up
-and dropped from the sweep.
+and dropped from the sweep.  Roots of the endpoint map are refined by batched
+multisection: round 1 spreads 65 slopes over each sign-change bracket, and
+later rounds centre 65 slopes on the root of an inverse interpolant through the
+lanes nearest the last sign change.
 """
 
 from __future__ import annotations
@@ -52,6 +55,19 @@ class ShotResult:
         return self.values[stride::stride][:n].copy()
 
 
+def _stage_sum(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray,
+               h: float) -> np.ndarray:
+    """(h / 6) (k1 + 2 k2 + 2 k3 + k4), added in that order but written into k2
+    (and 2 k3 into k3), so no temporary is allocated."""
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    return k2
+
+
 def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
                steps: int, record: bool):
     """Integrate all slopes at once; returns (endpoints, blown, values, derivatives)."""
@@ -74,8 +90,8 @@ def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
         g3 = nl.g(u + 0.5 * h * k2u)
         k4u = p - h * g3
         g4 = nl.g(u + h * k3u)
-        u += (h / 6.0) * (p + 2.0 * k2u + 2.0 * k3u + k4u)
-        p -= (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        u += _stage_sum(p, k2u, k3u, k4u, h)
+        p -= _stage_sum(g1, g2, g3, g4, h)  # into g2: a g returning its argument makes g1 u
         if np.abs(u).max(initial=0.0) > cap:
             out = np.abs(u) > cap
             frozen[:, live[out]], blown[live[out]] = (u[out], p[out]), True
@@ -122,38 +138,85 @@ def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
     return list(zip(s[:-1][keep].tolist(), s[1:][keep].tolist()))
 
 
+def _inverse_root(slopes: np.ndarray, endpoints: np.ndarray,
+                  i: int) -> tuple[float, float] | None:
+    """Root of the inverse interpolant through up to 6 lanes nearest the sign change
+    between lanes i and i + 1, taken in Neville's scheme from the nearest lanes
+    outwards, and the gap between its last two orders; None when the lanes are too
+    few, two endpoints tie or the root is not finite."""
+    lo = max(0, min(i - 2, len(slopes) - 6))
+    order = sorted(range(lo, min(len(slopes), lo + 6)), key=lambda k: abs(2 * k - 2 * i - 1))
+    e, s = endpoints[order].tolist(), slopes[order].tolist()
+    if len(e) < 3 or len(set(e)) < len(e):
+        return None
+    roots = []
+    for m in range(1, len(e)):  # s[k] becomes the root through lanes k, ..., k + m
+        s = [s[k] + e[k] * (s[k + 1] - s[k]) / (e[k] - e[k + m]) for k in range(len(e) - m)]
+        roots.append(s[0])
+    return (roots[-1], abs(roots[-1] - roots[-2])) if np.isfinite(roots[-2:]).all() else None
+
+
 def _window(slopes: np.ndarray, endpoints: np.ndarray, i: int) -> tuple[float, float]:
-    """Next round's slope range in the sign change [a, c] = slopes[i:i + 2]: its
-    regula-falsi root +- the error estimate |e2| (c - a)^2 / |e1| (e2 by a neighbouring
-    slope) or 32 roundings of the root, whichever is wider, clipped to [a, c]."""
+    """Next round's slope range in the sign change [a, c] = slopes[i:i + 2]: the
+    `_inverse_root` +- the gap between its last two orders, or, where that is
+    ill-posed or lands outside [a, c], the regula-falsi root +- the error estimate
+    |e2| (c - a)^2 / |e1| (e2 by a neighbouring slope); at least 32 roundings of
+    the root on each side, clipped to [a, c]."""
     (a, c), (ea, ec) = slopes[i:i + 2], endpoints[i:i + 2]
-    j = i - 1 if i > 0 else i + 2
-    e1 = (ec - ea) / (c - a)
-    e2 = ((endpoints[j] - ea) / (slopes[j] - a) - e1) / (slopes[j] - c)
-    root = a - ea / e1
-    half = max(abs(e2) * (c - a) ** 2 / abs(e1), 32 * np.spacing(abs(root)))
+    estimate = _inverse_root(slopes, endpoints, i)
+    if estimate is not None and a <= estimate[0] <= c:
+        root, half = estimate
+    else:
+        j = i - 1 if i > 0 else i + 2
+        e1 = (ec - ea) / (c - a)
+        e2 = ((endpoints[j] - ea) / (slopes[j] - a) - e1) / (slopes[j] - c)
+        root = a - ea / e1
+        half = abs(e2) * (c - a) ** 2 / abs(e1)
+    half = max(half, 32 * np.spacing(abs(root)))
     return max(a, root - half), min(c, root + half)
 
 
+def fan_slopes(brackets: list[tuple[float, float]]) -> np.ndarray:
+    """The slopes `find_branch` sweeps in round 1: _LANES + 1 evenly over each
+    (lo, hi) bracket, ends included, one row per bracket."""
+    lo, hi = np.array(brackets, dtype=float).reshape(-1, 2).T
+    return np.linspace(lo, hi, _LANES + 1, axis=1)
+
+
 def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, float]],
-                steps: int = RK4_STEPS) -> list[ShotResult]:
+                steps: int = RK4_STEPS,
+                swept: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                ) -> list[ShotResult]:
     """Multisect the endpoint map inside every sign-change bracket at once.
 
     Returns one ShotResult per bracket, in order.  Each round sweeps _LANES + 1
-    slopes of every bracket still refining in one `sweep`: round 1 spans the
-    bracket evenly (a blown end or a missing sign change raises ValueError for
-    the first bracket that has one), later rounds the `_window` of the last
-    first sign change [a, c], keeping the piece of [a, c] beside it if it misses
-    the root.  A bracket stops when an endpoint is 0 or [a, c] is 2 roundings
-    wide.  The slopes of smallest |endpoint| seen are recorded in one sweep.
+    slopes of every bracket still refining in one `sweep`: round 1 the
+    `fan_slopes` of the bracket (a blown end or a missing sign change raises
+    ValueError for the first bracket that has one), later rounds the `_window` of
+    the last first sign change [a, c], keeping the piece of [a, c] beside it if it
+    misses the root.  A bracket stops when an endpoint is 0 or [a, c] is 2
+    roundings wide.  The slopes of smallest |endpoint| seen are recorded in one
+    sweep.
+
+    `swept` = (slopes, endpoints, blown) of lanes already integrated at `steps`,
+    in any order: a bracket whose round-1 slopes all lie among them takes their
+    endpoints and blown flags instead of sweeping them again, with the same bits.
     """
     if len(brackets) == 0:
         return []
     if np.ndim(brackets) != 2 or np.shape(brackets)[1] != 2:
         raise ValueError(f"brackets must be a list of (lo, hi) pairs, got {brackets!r}")
-    lo, hi = np.array(brackets, dtype=float).T
-    slopes = np.linspace(lo, hi, _LANES + 1, axis=1)
-    ends, blown = (a.reshape(slopes.shape) for a in sweep(nl, length, slopes.ravel(), steps))
+    slopes = fan_slopes(brackets)
+    ends, blown = np.empty(slopes.shape), np.empty(slopes.shape, dtype=bool)
+    where = {} if swept is None else {s: k for k, s in enumerate(swept[0].tolist())}
+    have = np.array([all(s in where for s in row) for row in slopes.tolist()])
+    if have.any():
+        k = [where[s] for s in slopes[have].ravel().tolist()]
+        ends[have], blown[have] = (a[k].reshape(-1, _LANES + 1) for a in swept[1:])
+    if not have.all():
+        ends[~have], blown[~have] = (a.reshape(-1, _LANES + 1) for a in
+                                     sweep(nl, length, slopes[~have].ravel(), steps))
+    lo, hi = slopes[:, 0], slopes[:, -1]
     for b in range(len(lo)):
         if blown[b, [0, -1]].any():
             raise ValueError("bracket endpoint blew up; shrink the bracket")

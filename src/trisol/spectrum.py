@@ -58,9 +58,17 @@ def eigenvalue_table(spec: DomainSpec, count: int) -> list[tuple[float, tuple[in
     """The count smallest (eigenvalue, mode) pairs, sorted with multiplicity."""
     if not MIN_EIGEN_COUNT <= count <= MAX_MODES:
         raise ValueError(f"count must be at least {MIN_EIGEN_COUNT} and at most {MAX_MODES}")
-    # the count smallest lie at or below the corner of an index cube of count modes
-    side = math.ceil(count ** (1 / spec.ndim))
-    values = _enumerate(spec, sum(_axis_values(L, [side])[0] for L in spec.lengths))
+    # E = {x: sum (pi x_i / L_i)^2 <= mu} is convex and holds the point of ones
+    # scaled by 1 / r, r = sqrt(lambda_1 / mu), so every y >= 0 in (1 - r) E has
+    # y + 1 in E and the mode ceil(y) at or below mu: at least vol((1 - r) E) / 2^d
+    # modes lie at or below mu, and mu is where that reaches count
+    firsts, d = [_axis_values(L, [1])[0] for L in spec.lengths], spec.ndim
+    ball = math.pi ** (d / 2) / math.gamma(d / 2 + 1)  # the unit d-ball's volume
+    root = math.sqrt(sum(firsts)) + (
+        count * 2 ** d * math.prod(map(math.sqrt, firsts)) / ball) ** (1 / d)
+    mu = root * root
+    while np.count_nonzero((values := _enumerate(spec, mu)) <= mu) < count:
+        mu *= 1.01  # only if rounding puts a mode of the bound above mu
     first = np.argsort(values, axis=None, kind="stable")[:count]
     modes = np.transpose(np.unravel_index(first, values.shape)) + 1
     return list(zip(values.ravel()[first].tolist(), map(tuple, modes.tolist())))

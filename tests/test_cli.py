@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import trisol
-from trisol import cli
+from trisol import cli, oracle
 from trisol.cli import (_SCHEMA, ConfigError, RunConfig, main, parse_config_file,
                         read_field_csv, report_to_json, write_field_csv)
 from trisol.descent import DescentOptions
@@ -406,6 +406,20 @@ def test_large_input_ends_inside_the_cap(tmp_path, kind, line, codes):
     assert err.count("configuration error") == list(codes.values()).count(2)
 
 
+@pytest.mark.skipif(os.name != "posix", reason="caps memory with resource.setrlimit")
+def test_validate_lists_as_many_modes_as_its_count_inside_the_cap(tmp_path):
+    # k = 715243 on the 15 x 15 unit square at lambda = 9e6: the listing of
+    # its k + 1 smallest modes stays below the enumeration limit, so validate
+    # ends with the index failure rather than a solver error
+    (code,), err = _main_in_capped_child(
+        tmp_path, "domain.kind = rectangle\nnonlinearity.lambda = 9e6", ("validate",))
+    assert (code, err) == (1, "")
+    report = json.loads((tmp_path / "out" / "validate.json").read_text())
+    assert report["k_claimed"] == 715243
+    assert report["lambda_k"] <= 9e6 < report["lambda_k1"]
+    assert [f["check"] for f in report["failures"]] == ["index"]
+
+
 def _optional_numpy_modules_after(argv, cwd):
     """Run main(argv) in a fresh interpreter; return its exit code and which
     of numpy.random and numpy.fft it imported."""
@@ -477,13 +491,34 @@ def _oracle_body(tmp_path, capsys, lines):
     return json.loads(capsys.readouterr().out)
 
 
-def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys):
+def _recorded_sweeps(monkeypatch, module=cli):
+    """Record (slopes, steps, blown) of every `sweep` that `oracle` makes in
+    `cmd_oracle` (module cli) or in `find_branch` (module oracle)."""
+    calls, sweep = [], module.sweep
+
+    def recorded(nl, length, slopes, steps):
+        endpoints, blown = sweep(nl, length, slopes, steps)
+        calls.append((slopes.copy(), steps, blown.copy()))
+        return endpoints, blown
+    monkeypatch.setattr(module, "sweep", recorded)
+    return calls
+
+
+def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys, monkeypatch):
     # the root lies about 1e-10 above the lane at 35.33740129699026, whose
     # endpoint changes sign between the scan's 1024 steps and the full 4096;
-    # integrated again at 4096, the bracket holds the root
+    # integrated again at 4096, the bracket holds the root.  It is not the
+    # scan's bracket, so round 1 sweeps its slopes instead of taking the ones
+    # integrated with the edge lanes
+    calls = _recorded_sweeps(monkeypatch)
+    rounds = _recorded_sweeps(monkeypatch, oracle)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.28740129699027",
                                            "oracle.slope_max = 35.387401297090264",
                                            "oracle.slope_step = 0.01"])
+    (scan, _, _), (again, _, _) = calls
+    assert (scan.size, again.size) == (11, 69)
+    assert np.array_equal(again[4:], oracle.fan_slopes([(scan[4], scan[5])]).ravel())
+    assert np.array_equal(rounds[0][0], oracle.fan_slopes([(scan[5], scan[6])]).ravel())
     assert body["blown_up"] == 0 and body["branch_count"] == 1
     assert body["branches"] == [{"amplitude": 5.176440898219756,
                                  "endpoint": -5.551115123125783e-16,
@@ -491,44 +526,35 @@ def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys):
                                  "slope": 35.33740129709027}]
 
 
-def _recorded_sweeps(monkeypatch):
-    """Record (slopes, steps, blown) of every `sweep` that `oracle` makes."""
-    calls, sweep = [], cli.sweep
-
-    def recorded(nl, length, slopes, steps):
-        endpoints, blown = sweep(nl, length, slopes, steps)
-        calls.append((slopes.copy(), steps, blown.copy()))
-        return endpoints, blown
-    monkeypatch.setattr(cli, "sweep", recorded)
-    return calls
-
-
 def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, monkeypatch):
     # the scan runs at a quarter of the steps; the two lanes on each side of
     # the sign change between 42.40 and 42.41 and of the blown edge between
-    # 42.44 and 42.45 are integrated again at the full 4096
+    # 42.44 and 42.45 are integrated again at the full 4096, in the same pass
+    # as the round-1 slopes of the scan's one bracket
     calls = _recorded_sweeps(monkeypatch)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 42.0",
                                            "oracle.slope_max = 42.6",
                                            "oracle.slope_step = 0.01"])
     (scan, coarse, _), (again, fine, blown) = calls
     assert (scan.size, coarse, fine) == (61, 1024, 4096)
-    assert np.round(again, 9).tolist() == [42.39, 42.4, 42.41, 42.42, 42.43, 42.44, 42.45, 42.46]
-    assert blown.tolist() == [False] * 6 + [True] * 2
+    assert np.round(again[:8], 9).tolist() == [42.39, 42.4, 42.41, 42.42, 42.43, 42.44, 42.45,
+                                               42.46]
+    assert np.array_equal(again[8:], oracle.fan_slopes([(scan[40], scan[41])]).ravel())
+    assert blown.tolist() == [False] * 6 + [True] * 2 + [False] * 65
     assert body["blown_up"] == 16 and body["branch_count"] == 1
 
 
 def test_oracle_rescans_every_lane_when_a_root_moves_past_its_window(tmp_path, capsys,
                                                                      monkeypatch):
     # at 1024 steps the root lies about 6e-10 below its place at 4096, some
-    # 30 lanes of 2e-11: the lanes integrated again all fall on one side, and
-    # the whole scan is repeated at 4096, which finds the root of the
-    # 4096-step scan
+    # 30 lanes of 2e-11: the lanes integrated again (4, with the 65 round-1
+    # slopes of the scan's bracket) all fall on one side, and the whole scan
+    # is repeated at 4096, which finds the root of the 4096-step scan
     calls = _recorded_sweeps(monkeypatch)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.337401296",
                                            "oracle.slope_max = 35.337401298",
                                            "oracle.slope_step = 2e-11"])
-    assert [(slopes.size, steps) for slopes, steps, _ in calls] == [(101, 1024), (4, 4096),
+    assert [(slopes.size, steps) for slopes, steps, _ in calls] == [(101, 1024), (69, 4096),
                                                                     (101, 4096)]
     assert body["blown_up"] == 0 and body["branch_count"] == 1
     assert body["branches"] == [{"amplitude": 5.176440898219756,
@@ -566,6 +592,25 @@ def test_oracle_prints_its_json_once_through_a_pipe(tmp_path):
     assert start == "start"
     body = json.loads(text)  # one JSON document and nothing after it
     assert body["branch_count"] == 4 and body["blown_up"] == 1512
+    assert [(b["slope"], b["endpoint"], b["amplitude"], b["interior_sign_changes"])
+            for b in body["branches"]] == [
+        (-42.40263048243569, -1.9038069731802665e-13, 7.615218562180439, 0),
+        (-35.33740129709027, 5.551115123125783e-16, 5.176440898219756, 1),
+        (35.33740129709027, -5.551115123125783e-16, 5.176440898219756, 1),
+        (42.40263048243568, 1.9038069731802665e-13, 7.615218562180439, 0)]
+
+
+@pytest.mark.parametrize("lam, count, blown_up, crossings", [
+    (40.0, 4, 4324, [0, 1, 1, 0]), (90.0, 2, 0, [2, 2])], ids=["lambda-40", "lambda-90"])
+def test_oracle_on_tied_endpoints(tmp_path, capsys, lam, count, blown_up, crossings):
+    # near these roots neighbouring lanes of a later round tie on their
+    # endpoints, where the inverse interpolant is undefined and the window is
+    # the regula-falsi one; every branch still meets the endpoint check
+    body = _oracle_body(tmp_path, capsys, [f"nonlinearity.lambda = {lam}"])
+    assert (body["branch_count"], body["blown_up"]) == (count, blown_up)
+    assert [b["interior_sign_changes"] for b in body["branches"]] == crossings
+    for b in body["branches"]:
+        assert abs(b["endpoint"]) <= 1e-12 * max(1.0, b["amplitude"])
 
 
 def test_oracle_command_requires_interval(capsys):

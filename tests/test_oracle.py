@@ -178,13 +178,16 @@ def test_find_branch_batched_equals_single(nl):
         assert np.array_equal(got.derivatives, want.derivatives)
 
 
-def _count_integrations(monkeypatch):
-    """Record the `record` flag of every RK4 pass, and "shoot" per shot."""
+def _count_integrations(monkeypatch, lanes=None):
+    """Record the `record` flag of every RK4 pass, and "shoot" per shot; the
+    lane count of every pass too, into `lanes` if given."""
     calls = []
     rk4, shot = oracle._rk4_sweep, oracle.shoot
 
     def counted(nl, length, slopes, steps, record):
         calls.append(record)
+        if lanes is not None:
+            lanes.append(len(slopes))
         return rk4(nl, length, slopes, steps, record)
     monkeypatch.setattr(oracle, "_rk4_sweep", counted)
     monkeypatch.setattr(oracle, "shoot",
@@ -194,13 +197,40 @@ def _count_integrations(monkeypatch):
 
 def test_find_branch_work_count(nl, monkeypatch):
     # every bracket is refined in the same unrecorded sweep each round; the
-    # branches found are integrated together in one recorded sweep
-    calls = _count_integrations(monkeypatch)
+    # branches found are integrated together in one recorded sweep.  The
+    # +-35 brackets end after round 2, the +-42 ones, near the blow-up, after
+    # round 3
+    lanes = []
+    calls = _count_integrations(monkeypatch, lanes)
     brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4), (-35.4, -35.3)]
     assert len(find_branch(nl, 1.0, brackets, 4096)) == 4
-    assert "shoot" not in calls
-    assert len(calls) <= 6
-    assert calls.count(True) == 1
+    assert calls == [False, False, False, True]
+    assert lanes == [260, 260, 130, 4]
+
+
+def test_find_branch_takes_round_one_from_swept_lanes(nl, monkeypatch):
+    # lanes already integrated at the same steps stand in for round 1's sweep
+    # wherever they hold all of a bracket's round-1 slopes: those 65 lanes are
+    # not integrated again, and the result is the same bits.  The lone lane
+    # at -42.0 ends a bracket left uncovered, which is still swept whole
+    brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4)]
+    lanes = []
+    _count_integrations(monkeypatch, lanes)
+    want = find_branch(nl, 1.0, brackets, 1000)
+    passes, total = len(lanes), sum(lanes)
+    for covered in ([0, 1, 2], [0, 2]):
+        slopes = np.concatenate([[1.0, -42.0, -30.0],
+                                 oracle.fan_slopes([brackets[b] for b in covered]).ravel()])
+        swept = (slopes, *sweep(nl, 1.0, slopes, 1000))
+        lanes.clear()
+        got = find_branch(nl, 1.0, brackets, 1000, swept)
+        assert sum(lanes) == total - 65 * len(covered)
+        assert len(lanes) == passes - (len(covered) == len(brackets))
+        for g, w in zip(got, want, strict=True):
+            assert g.slope == w.slope and g.endpoint == w.endpoint
+            assert g.blown_up == w.blown_up
+            assert np.array_equal(g.values, w.values)
+            assert np.array_equal(g.derivatives, w.derivatives)
 
 
 def test_find_branch_keeps_the_root_when_the_window_misses_it(nl, monkeypatch):
@@ -225,6 +255,42 @@ def test_find_branch_keeps_the_root_when_the_window_misses_it(nl, monkeypatch):
     monkeypatch.setattr(oracle, "_window", window)
     assert branch.slope == pytest.approx(find_branch(nl, 1.0, [(35.3, 35.4)], 2048)[0].slope,
                                          abs=1e-12)
+
+
+def test_window_centres_on_the_inverse_interpolant():
+    # a smooth sign change on a round-1 grid of a bracket 0.01 wide: the
+    # window holds the root and is only the 32-rounding floor wide on each
+    # side, where the regula-falsi error estimate would give about 1e-8
+    slopes = np.linspace(1.5, 1.51, 65)
+    endpoints = np.exp(slopes) - 4.5
+    i = int(np.flatnonzero(endpoints[:-1] * endpoints[1:] <= 0.0)[0])
+    lo, hi = oracle._window(slopes, endpoints, i)
+    assert slopes[i] <= lo <= np.log(4.5) <= hi <= slopes[i + 1]
+    assert hi - lo <= 64 * np.spacing(np.log(4.5))
+
+
+def test_window_falls_back_to_regula_falsi_on_tied_endpoints():
+    # two equal endpoints among the lanes near the sign change leave the inverse
+    # interpolant undefined; the window is then the regula-falsi root +- its
+    # error estimate, with e2 taken through the lane before the sign change
+    slopes = np.arange(7.0)
+    endpoints = np.array([-3.0, -2.0, -2.0, 1.0, 2.0, 3.0, 4.0])
+    root = 2.0 + 2.0 / 3.0
+    assert oracle._window(slopes, endpoints, 2) == (root - 0.5, 3.0)
+
+
+def test_window_stays_inside_the_sign_change():
+    # whatever the endpoints, the window is a non-empty piece of [a, c]
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        slopes = np.sort(rng.uniform(-1.0, 1.0, 9))
+        endpoints = np.round(rng.standard_normal(9), int(rng.integers(0, 3)))
+        changes = np.flatnonzero((endpoints[:-1] * endpoints[1:] < 0.0))
+        if changes.size == 0:
+            continue
+        i = int(changes[0])
+        lo, hi = oracle._window(slopes, endpoints, i)
+        assert slopes[i] <= lo <= hi <= slopes[i + 1]
 
 
 def test_find_branch_of_no_brackets_integrates_nothing(nl, monkeypatch):
