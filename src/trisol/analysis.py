@@ -189,6 +189,8 @@ def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
     flags: dict[str, bool] = {}
     flags["condition_g"] = condition_g.ok
     flags["converged"] = minus.converged and plus.converged and star.converged
+    notes.extend(f"{p.classification.value}: not converged after {p.iterations} iterations, "
+                 f"residual {p.residual:.1e}" for p in (minus, plus, star) if not p.converged)
 
     bounds_ok = True
     classical_ok = True

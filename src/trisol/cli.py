@@ -316,7 +316,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     # of the steps; a lane next to one may change side at `steps`, so every
     # lane within one lane of an edge is integrated again at `steps`, together
     # with the round-1 slopes of the scan's brackets, which `find_branch` takes
-    # for every bracket that `steps` leaves in place; an edge that then touches
+    # when `steps` leaves every bracket in place; an edge that then touches
     # a lane not integrated again has moved further, and every lane is scanned
     # at `steps`
     endpoints, blown = sweep(nl, length, slopes, max(MIN_RK4_STEPS, steps // 4))

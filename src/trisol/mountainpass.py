@@ -151,8 +151,8 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
         if np.any(np.sqrt(h1_seminorm_sq_values(spec, u - nodes[[0, last]]))
                   < opts.collapse_tol):
             raise PathCollapseError(
-                "max-energy node collapsed onto an endpoint; the two "
-                "minimizers are not separated")
+                f"max-energy node collapsed onto an endpoint at path iteration {it} "
+                f"(peak residual {res_sup:.3e}); the two minimizers are not separated")
         if it == opts.max_iters:
             return nodes[jmax], it, False
         tangent = nodes[jmax + 1] - nodes[jmax - 1]

@@ -7,7 +7,8 @@ Trajectories that leave 10 * max(a+, -a-) are frozen, flagged as blown up
 and dropped from the sweep.  Roots of the endpoint map are refined by batched
 multisection: round 1 spreads 65 slopes over each sign-change bracket, and
 later rounds centre 65 slopes on the root of an inverse interpolant through the
-lanes nearest the last sign change.
+lanes nearest the last sign change, or spread them over that sign change where
+the interpolant is ill-posed.
 """
 
 from __future__ import annotations
@@ -138,40 +139,26 @@ def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
     return list(zip(s[:-1][keep].tolist(), s[1:][keep].tolist()))
 
 
-def _inverse_root(slopes: np.ndarray, endpoints: np.ndarray,
-                  i: int) -> tuple[float, float] | None:
-    """Root of the inverse interpolant through up to 6 lanes nearest the sign change
-    between lanes i and i + 1, taken in Neville's scheme from the nearest lanes
-    outwards, and the gap between its last two orders; None when the lanes are too
-    few, two endpoints tie or the root is not finite."""
+def _window(slopes: np.ndarray, endpoints: np.ndarray, i: int) -> tuple[float, float]:
+    """Next round's slope range in the sign change [a, c] = slopes[i:i + 2]: the root
+    of the inverse interpolant through up to 6 lanes nearest the sign change, taken
+    in Neville's scheme from the nearest lanes outwards, +- the gap between its last
+    two orders, at least 32 roundings of the root on each side, clipped to [a, c];
+    all of [a, c] where that is ill-posed (fewer than 3 lanes, two endpoints tie, a
+    gap that is not finite or a root outside [a, c])."""
+    a, c = slopes[i:i + 2]
     lo = max(0, min(i - 2, len(slopes) - 6))
     order = sorted(range(lo, min(len(slopes), lo + 6)), key=lambda k: abs(2 * k - 2 * i - 1))
     e, s = endpoints[order].tolist(), slopes[order].tolist()
     if len(e) < 3 or len(set(e)) < len(e):
-        return None
+        return a, c
     roots = []
     for m in range(1, len(e)):  # s[k] becomes the root through lanes k, ..., k + m
         s = [s[k] + e[k] * (s[k + 1] - s[k]) / (e[k] - e[k + m]) for k in range(len(e) - m)]
         roots.append(s[0])
-    return (roots[-1], abs(roots[-1] - roots[-2])) if np.isfinite(roots[-2:]).all() else None
-
-
-def _window(slopes: np.ndarray, endpoints: np.ndarray, i: int) -> tuple[float, float]:
-    """Next round's slope range in the sign change [a, c] = slopes[i:i + 2]: the
-    `_inverse_root` +- the gap between its last two orders, or, where that is
-    ill-posed or lands outside [a, c], the regula-falsi root +- the error estimate
-    |e2| (c - a)^2 / |e1| (e2 by a neighbouring slope); at least 32 roundings of
-    the root on each side, clipped to [a, c]."""
-    (a, c), (ea, ec) = slopes[i:i + 2], endpoints[i:i + 2]
-    estimate = _inverse_root(slopes, endpoints, i)
-    if estimate is not None and a <= estimate[0] <= c:
-        root, half = estimate
-    else:
-        j = i - 1 if i > 0 else i + 2
-        e1 = (ec - ea) / (c - a)
-        e2 = ((endpoints[j] - ea) / (slopes[j] - a) - e1) / (slopes[j] - c)
-        root = a - ea / e1
-        half = abs(e2) * (c - a) ** 2 / abs(e1)
+    root, half = roots[-1], abs(roots[-1] - roots[-2])
+    if not (np.isfinite(half) and a <= root <= c):
+        return a, c
     half = max(half, 32 * np.spacing(abs(root)))
     return max(a, root - half), min(c, root + half)
 
@@ -199,23 +186,19 @@ def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, flo
     sweep.
 
     `swept` = (slopes, endpoints, blown) of lanes already integrated at `steps`,
-    in any order: a bracket whose round-1 slopes all lie among them takes their
-    endpoints and blown flags instead of sweeping them again, with the same bits.
+    in any order: when every bracket's round-1 slopes lie among them, round 1
+    takes their endpoints and blown flags, with the same bits, instead of a sweep.
     """
     if len(brackets) == 0:
         return []
     if np.ndim(brackets) != 2 or np.shape(brackets)[1] != 2:
         raise ValueError(f"brackets must be a list of (lo, hi) pairs, got {brackets!r}")
     slopes = fan_slopes(brackets)
-    ends, blown = np.empty(slopes.shape), np.empty(slopes.shape, dtype=bool)
     where = {} if swept is None else {s: k for k, s in enumerate(swept[0].tolist())}
-    have = np.array([all(s in where for s in row) for row in slopes.tolist()])
-    if have.any():
-        k = [where[s] for s in slopes[have].ravel().tolist()]
-        ends[have], blown[have] = (a[k].reshape(-1, _LANES + 1) for a in swept[1:])
-    if not have.all():
-        ends[~have], blown[~have] = (a.reshape(-1, _LANES + 1) for a in
-                                     sweep(nl, length, slopes[~have].ravel(), steps))
+    k = [where.get(s) for s in slopes.ravel().tolist()]
+    ends, blown = (sweep(nl, length, slopes.ravel(), steps) if None in k
+                   else (swept[1][k], swept[2][k]))
+    ends, blown = ends.reshape(slopes.shape), blown.reshape(slopes.shape)
     lo, hi = slopes[:, 0], slopes[:, -1]
     for b in range(len(lo)):
         if blown[b, [0, -1]].any():

@@ -47,7 +47,10 @@ def _enumerate(spec: DomainSpec, mu: float) -> np.ndarray:
     """Eigenvalues of the modes up to int(L sqrt(mu) / pi) + 1 per axis, indexed by mode - 1."""
     extents = [L * math.sqrt(mu) / math.pi for L in spec.lengths]
     if (size := math.prod(e + 1 for e in extents)) > MAX_MODES:
-        limit = math.pi ** 2 * (MAX_MODES / math.prod(spec.lengths)) ** (2 / spec.ndim)
+        # x = sqrt(limit) solves prod(L x / pi + 1) = q x^2 + s x + 1 = MAX_MODES
+        s = sum(spec.lengths) / math.pi
+        q = math.prod(spec.lengths) / math.pi ** 2 if spec.ndim == 2 else 0.0
+        limit = (2 * (MAX_MODES - 1) / (s + math.sqrt(s * s + 4 * q * (MAX_MODES - 1)))) ** 2
         raise ValueError(f"the Dirichlet modes up to {mu:.6g} fill about {size:.3g} entries, "
                          f"more than {MAX_MODES}; on this domain they fit up to about {limit:.4g}")
     return functools.reduce(np.add.outer, [

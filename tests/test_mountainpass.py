@@ -106,7 +106,8 @@ def test_rejects_unconverged_endpoints(solved):
 def test_collapse_detection_fires(solved):
     # an absurdly wide collapse tolerance treats every node as an endpoint
     spec, nl, full_model, minus, plus = solved
-    with pytest.raises(PathCollapseError):
+    with pytest.raises(PathCollapseError,
+                       match=r"at path iteration 0 \(peak residual \d\.\d{3}e[+-]\d+\)"):
         find_mountain_pass(full_model, minus, plus,
                            MPOptions(collapse_tol=1e6))
 

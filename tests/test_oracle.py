@@ -210,22 +210,22 @@ def test_find_branch_work_count(nl, monkeypatch):
 
 def test_find_branch_takes_round_one_from_swept_lanes(nl, monkeypatch):
     # lanes already integrated at the same steps stand in for round 1's sweep
-    # wherever they hold all of a bracket's round-1 slopes: those 65 lanes are
-    # not integrated again, and the result is the same bits.  The lone lane
-    # at -42.0 ends a bracket left uncovered, which is still swept whole
+    # only when they hold the round-1 slopes of every bracket; otherwise round
+    # 1 sweeps all 65 slopes of every bracket in one pass.  Either way the
+    # result is the same bits as a run without them
     brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4)]
     lanes = []
     _count_integrations(monkeypatch, lanes)
     want = find_branch(nl, 1.0, brackets, 1000)
-    passes, total = len(lanes), sum(lanes)
+    fresh = list(lanes)
+    assert fresh[0] == 65 * len(brackets)
     for covered in ([0, 1, 2], [0, 2]):
         slopes = np.concatenate([[1.0, -42.0, -30.0],
                                  oracle.fan_slopes([brackets[b] for b in covered]).ravel()])
         swept = (slopes, *sweep(nl, 1.0, slopes, 1000))
         lanes.clear()
         got = find_branch(nl, 1.0, brackets, 1000, swept)
-        assert sum(lanes) == total - 65 * len(covered)
-        assert len(lanes) == passes - (len(covered) == len(brackets))
+        assert lanes == (fresh[1:] if len(covered) == len(brackets) else fresh)
         for g, w in zip(got, want, strict=True):
             assert g.slope == w.slope and g.endpoint == w.endpoint
             assert g.blown_up == w.blown_up
@@ -234,8 +234,8 @@ def test_find_branch_takes_round_one_from_swept_lanes(nl, monkeypatch):
 
 
 def test_find_branch_keeps_the_root_when_the_window_misses_it(nl, monkeypatch):
-    # the first two windows lie beside the regula-falsi root, left and then
-    # right of it; the piece of the sign change outside them keeps the root
+    # the first two windows lie beside the secant root, left and then right
+    # of it; the piece of the sign change outside them keeps the root
     window, calls = oracle._window, []
 
     def beside(slopes, endpoints, i):
@@ -260,7 +260,7 @@ def test_find_branch_keeps_the_root_when_the_window_misses_it(nl, monkeypatch):
 def test_window_centres_on_the_inverse_interpolant():
     # a smooth sign change on a round-1 grid of a bracket 0.01 wide: the
     # window holds the root and is only the 32-rounding floor wide on each
-    # side, where the regula-falsi error estimate would give about 1e-8
+    # side, where a secant error estimate would give about 1e-8
     slopes = np.linspace(1.5, 1.51, 65)
     endpoints = np.exp(slopes) - 4.5
     i = int(np.flatnonzero(endpoints[:-1] * endpoints[1:] <= 0.0)[0])
@@ -269,14 +269,15 @@ def test_window_centres_on_the_inverse_interpolant():
     assert hi - lo <= 64 * np.spacing(np.log(4.5))
 
 
-def test_window_falls_back_to_regula_falsi_on_tied_endpoints():
+def test_window_spans_the_sign_change_on_tied_endpoints():
     # two equal endpoints among the lanes near the sign change leave the inverse
-    # interpolant undefined; the window is then the regula-falsi root +- its
-    # error estimate, with e2 taken through the lane before the sign change
+    # interpolant undefined, and a root of it outside [a, c] is no estimate:
+    # either way the window is all of [a, c]
     slopes = np.arange(7.0)
     endpoints = np.array([-3.0, -2.0, -2.0, 1.0, 2.0, 3.0, 4.0])
-    root = 2.0 + 2.0 / 3.0
-    assert oracle._window(slopes, endpoints, 2) == (root - 0.5, 3.0)
+    assert oracle._window(slopes, endpoints, 2) == (2.0, 3.0)
+    # the quadratic through (-1, 0), (1, 1) and (-0.5, 2) has its root at 17/6
+    assert oracle._window(slopes[:3], np.array([-1.0, 1.0, -0.5]), 0) == (0.0, 1.0)
 
 
 def test_window_stays_inside_the_sign_change():

@@ -1,11 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from trisol.grid import DomainSpec, apply_neg_laplacian, quadrature
-from trisol.spectrum import eigenpairs, eigenvalue_table, sandwich_index
+from trisol.spectrum import MAX_MODES, eigenpairs, eigenvalue_table, sandwich_index
 
 PI2 = np.pi**2
 
@@ -100,6 +101,31 @@ def test_sandwich_index_monotone():
     mus = np.linspace(20.0, 200.0, 61)
     ks = [sandwich_index(spec, mu) for mu in mus]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
+
+
+def _box_limit(lengths):
+    """The mu where the box of int(L sqrt(mu) / pi) + 1 modes per axis reaches
+    MAX_MODES, by bisection on prod(L sqrt(mu) / pi + 1)."""
+    lo, hi = 0.0, math.pi * MAX_MODES / min(lengths)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if math.prod(L * mid / math.pi + 1 for L in lengths) <= MAX_MODES:
+            lo = mid
+        else:
+            hi = mid
+    return lo * lo
+
+
+@pytest.mark.parametrize("lengths, near", [
+    ((1.0, 1.0), 9.84988e6), ((1.0, 20.0), 491168.0), ((0.7, 3.3), 4.26132e6),
+    ((2.0,), 2.46740e12)])
+def test_limit_message_states_the_limit_it_enforces(lengths, near):
+    spec = DomainSpec(lengths, (15,) * len(lengths))
+    limit = _box_limit(lengths)
+    assert limit == pytest.approx(near, rel=2e-6)
+    assert sandwich_index(spec, limit * (1 - 1e-6)) > 0
+    with pytest.raises(ValueError, match=re.escape(f"they fit up to about {limit:.4g}")):
+        sandwich_index(spec, limit * (1 + 1e-6))
 
 
 def _product_table(spec, count):
