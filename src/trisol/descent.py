@@ -113,8 +113,6 @@ def minimize(model: EnergyModel, u0: Field,
             break
         last_step = {"step": step, "slope": slope, "decrease": decrease}
         u = u + step * direction
-    field = Field(model.domain, u)
-    return CriticalPoint(u=field, energy=model.phi_values(u),
-                         residual=float(np.max(np.abs(model.residual_values(u)))),
-                         classification=classification, converged=converged,
-                         iterations=it)
+    return CriticalPoint(u=Field(model.domain, u), energy=model.phi_values(u),
+                         residual=res_sup, classification=classification,
+                         converged=converged, iterations=it)

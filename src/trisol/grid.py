@@ -218,7 +218,7 @@ def quadrature(domain: DomainSpec, u: Field, kind: str) -> float:
     if kind == "l2_norm":
         return float(np.sqrt(vol * np.sum(vals * vals)))
     if kind == "sup_norm":
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+        return float(np.max(np.abs(vals)))
     if kind == "h1_seminorm":
         return float(np.sqrt(h1_seminorm_sq_values(domain, vals)))
     raise ValueError(f"unknown quadrature kind {kind!r}; expected one of {QUADRATURE_KINDS}")
@@ -263,7 +263,7 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     negative eigenvalues as -lap - diag(w) - s.  In 1D the pivots are
     scalars and this is the Sturm count.  A 2D step whose pivots pass a
     batched Cholesky test of D_i - width eps |D_i|_inf I has none negative;
-    otherwise a batched eigh gives the inertia and inverses of its pivots.
+    otherwise a batched eigvalsh counts them.  Every step inverts D_i once.
     """
     for name, finite in (("weight row", np.isfinite(weights).all(axis=1)),
                          ("shift", np.isfinite(shifts))):
@@ -308,15 +308,14 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
         tau = guard * np.abs(pivot).sum(axis=2).max(axis=1)
         try:
             np.linalg.cholesky(pivot - tau[:, None, None] * eye)
-            schur = np.linalg.inv(pivot) / h ** 4
         except np.linalg.LinAlgError:
-            vals, vecs = np.linalg.eigh(pivot)
+            vals = np.linalg.eigvalsh(pivot)
             size = np.abs(vals)
             if np.any(size.min(axis=1) <= guard * size.max(axis=1)):
                 raise SingularPivotError(
                     f"pivot block {step} of the inertia count is singular to rounding")
             negative += np.count_nonzero(vals < 0.0, axis=1)
-            schur = (vecs / (h ** 4 * vals)[:, None, :]) @ vecs.transpose(0, 2, 1)
+        schur = np.linalg.inv(pivot) / h ** 4
     counts[~constant] = negative.reshape(len(grid), len(shifts))
     return counts[rows]
 

@@ -132,9 +132,8 @@ def _descend_max_node(model, u, residual, opts, tangent):
     return None if step is None else u + step * direction
 
 
-def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
+def _run_path_loop(model, u_minus, u_plus, opts, perturbation, tol):
     spec = model.domain
-    tol = opts.grad_tol * model.nl.scale
     nodes = _initial_path(model, u_minus, u_plus, opts, perturbation)
     energies = model.phi_rows(nodes)
     last, pinned = opts.path_count, None
@@ -147,14 +146,14 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation):
             opts.callback({"iteration": it, "residual": res_sup,
                            "state": PathState(nodes, energies, jmax)})
         if res_sup <= tol:
-            return nodes[jmax], it, True
+            return nodes[jmax], it, True, res_sup
         if np.any(np.sqrt(h1_seminorm_sq_values(spec, u - nodes[[0, last]]))
                   < opts.collapse_tol):
             raise PathCollapseError(
                 f"max-energy node collapsed onto an endpoint at path iteration {it} "
                 f"(peak residual {res_sup:.3e}); the two minimizers are not separated")
         if it == opts.max_iters:
-            return nodes[jmax], it, False
+            return nodes[jmax], it, False, res_sup
         tangent = nodes[jmax + 1] - nodes[jmax - 1]
         moved = _descend_max_node(model, u, residual, opts, tangent)
         if moved is not None:
@@ -194,17 +193,14 @@ def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
 
     perturbation = opts.perturbation
     for _ in range(max(opts.restart_limit, 0) + 1):
-        values, iterations, converged = _run_path_loop(
-            model, u_minus.u, u_plus.u, opts, perturbation)
+        values, iterations, converged, residual = _run_path_loop(
+            model, u_minus.u, u_plus.u, opts, perturbation, tol)
         if not (converged and float(np.max(np.abs(values))) <= 1e-6):
             break
         if index_at_zero(model.domain, float(model.nl.gprime(np.asarray(0.0)))) < 2:
             break
         perturbation = 2.0 * perturbation if perturbation > 0.0 else MPOptions().perturbation
 
-    field = Field(model.domain, values)
-    residual = float(np.max(np.abs(model.residual_values(values))))
-    return CriticalPoint(u=field, energy=model.phi_values(values),
-                         residual=residual,
-                         classification=Classification.MOUNTAIN_PASS,
+    return CriticalPoint(u=Field(model.domain, values), energy=model.phi_values(values),
+                         residual=residual, classification=Classification.MOUNTAIN_PASS,
                          converged=converged, iterations=iterations)

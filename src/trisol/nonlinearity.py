@@ -20,9 +20,6 @@ from .grid import DomainSpec, index_at_zero
 from .spectrum import eigenvalue_table, sandwich_index
 
 _GL_ORDER = 12
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
-_gl_x = 0.5 * (_gl_x + 1.0)  # nodes on [0, 1]
-_gl_w = 0.5 * _gl_w
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)  # one rule per node count
 _MAX_PANELS = 1024
 _SAMPLE_COUNT = 4001
@@ -88,14 +85,16 @@ def _gauss_integrate(g, a, b, tol):
     elementwise, or within 4 ulps where tol is below rounding; exact from
     the first comparison for polynomial g.
     """
+    x, w = _leggauss(_GL_ORDER)
+    x, w = 0.5 * (x + 1.0), 0.5 * w  # the rule on [0, 1]
     span = b - a
     prev = None
     panels = 1
     while True:
-        offs = ((np.arange(panels)[:, None] + _gl_x[None, :]) / panels).ravel()
+        offs = ((np.arange(panels)[:, None] + x[None, :]) / panels).ravel()
         sig = a[:, None] + span[:, None] * offs[None, :]
         vals = np.asarray(g(sig)).reshape(len(a), panels, _GL_ORDER)
-        cur = span / panels * (vals @ _gl_w).sum(axis=1)
+        cur = span / panels * (vals @ w).sum(axis=1)
         if panels >= _MAX_PANELS or (prev is not None and np.all(
                 np.abs(cur - prev) <= np.maximum(tol, 4.0 * np.spacing(np.abs(cur))))):
             return cur

@@ -15,15 +15,15 @@ from trisol.spectrum import eigenpairs, sandwich_index
 RT60 = np.sqrt(60.0)
 
 
-def _dense_eigenvalues(spec, nl, u_values):
-    """Oracle: eigenvalues of the assembled dense linearization matrix."""
+def _dense_eigenvalues(spec, weights):
+    """Oracle: eigenvalues of the assembled dense matrix -lap - diag(weights)."""
     n = spec.size
     A = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
         A[:, j] = neg_laplacian_values(spec, e)
-    A -= np.diag(np.broadcast_to(nl.gprime(u_values), (n,)))
+    A -= np.diag(np.broadcast_to(weights, (n,)))
     return np.linalg.eigvalsh(A)
 
 
@@ -39,9 +39,9 @@ def _probe_shifts(eigenvalues):
 def _assert_counts_match_dense(spec, nl, u_values, window=None):
     """count_below at every probe shift around the window smallest
     eigenvalues (all of them by default) equals the dense count."""
-    dense = _dense_eigenvalues(spec, nl, u_values)
-    shifts = _probe_shifts(dense[:window])
     weights = np.broadcast_to(nl.gprime(u_values), (1, spec.size))
+    dense = _dense_eigenvalues(spec, weights[0])
+    shifts = _probe_shifts(dense[:window])
     got = count_below(spec, weights, shifts)[0]
     assert np.array_equal(got, np.count_nonzero(dense[:, None] < shifts, axis=0))
 
@@ -153,7 +153,7 @@ def test_morse_index_widens_window():
     near = Field.from_callable(spec, lambda x: 1e-3 * np.sin(np.pi * x))
     zero, varying = morse_index(model, [Field.zeros(spec), near])
     assert zero.index == 45
-    dense = _dense_eigenvalues(spec, nl, near.values)
+    dense = _dense_eigenvalues(spec, nl.gprime(near.values))
     assert varying.index == np.count_nonzero(dense < -tol) > 40
 
 
@@ -254,7 +254,8 @@ def test_morse_singular_pivot_raises():
 def test_morse_singular_first_block_raises_through_eigh():
     # on the 3 x 3 square every diagonal entry of T_1 is 4/h^2 = 64, so a
     # first line of weight 64 leaves only the couplings: a singular T_1,
-    # which fails the Cholesky test and must be caught by the eigh guard
+    # which fails the Cholesky test and must be caught by the guard on the
+    # fallback's eigvalsh eigenvalues, before the step inverts it
     spec = DomainSpec.rectangle(1.0, 1.0, 3, 3)
     weights = np.zeros((1, spec.size))
     weights[0, :3] = 64.0
@@ -292,6 +293,30 @@ def test_count_below_duplicate_rows_match_single_rows(grid):
     shifts = np.array([-50.0, -1.0, 1.0, 50.0, 500.0])
     expected = np.stack([count_below(spec, row[None], shifts)[0] for row in stack])
     assert np.array_equal(count_below(spec, stack, shifts), expected)
+
+
+def _seeded_count_cases():
+    """40 rectangles of 3 to 20 nodes a side and 6 intervals of 3 to 60
+    nodes, sides in [0.3, 3], each with three weight rows in [-50, 3000]."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(40):
+        nx, ny = rng.integers(3, 21, size=2)
+        width, height = rng.uniform(0.3, 3.0, size=2)
+        cases.append(DomainSpec.rectangle(width, height, nx, ny))
+    for _ in range(6):
+        cases.append(DomainSpec.interval(rng.uniform(0.3, 3.0), rng.integers(3, 61)))
+    return [(spec, rng.uniform(-50.0, 3000.0, (3, spec.size))) for spec in cases]
+
+
+def test_count_below_matches_dense_on_seeded_domains():
+    # large weights make most 2D block steps fail the Cholesky test, so
+    # this checks the fallback's count and the inverse taken after it
+    shifts = np.array([-1.0, 0.0, 1.0])
+    for spec, weights in _seeded_count_cases():
+        expected = [np.count_nonzero(_dense_eigenvalues(spec, w)[:, None] < shifts, axis=0)
+                    for w in weights]
+        assert np.array_equal(count_below(spec, weights, shifts), expected), spec
 
 
 def test_morse_work_count(p1, monkeypatch):

@@ -343,3 +343,28 @@ def _check_converges_to_index_one(full_model, minus, plus):
     assert star.converged
     assert star.iterations <= 200
     assert morse_index(full_model, [star.u])[0].index == 1
+
+
+@pytest.mark.parametrize("case", ["plus", "minus", "star", "descent_capped",
+                                  "descent_underflow", "path_capped"])
+def test_returned_residual_is_a_fresh_recomputation(p1, case):
+    # each stage returns the sup residual its loop measured for the iterate
+    # it returns, on every exit: converged, capped, and line-search underflow
+    models = p1["models"]
+    full, plus = models[TruncationMode.FULL], models[TruncationMode.PLUS]
+    if case in ("plus", "minus", "star"):
+        model = {"plus": plus, "minus": models[TruncationMode.MINUS], "star": full}[case]
+        point = p1[case]
+    elif case == "path_capped":
+        model = full
+        point = find_mountain_pass(full, p1["minus"], p1["plus"], MPOptions(max_iters=2))
+        assert (point.converged, point.iterations) == (False, 2)
+    else:
+        # an initial step below the underflow limit ends the line search at once
+        opts = (DescentOptions(max_iters=2) if case == "descent_capped"
+                else DescentOptions(initial_step=1e-17))
+        model, point = plus, minimize(plus, initial_guess(plus, p1["phi1"]), opts)
+        assert (point.converged, point.iterations) == (
+            False, 2 if case == "descent_capped" else 0)
+    fresh = float(np.max(np.abs(model.residual_values(point.u.values))))
+    assert point.residual == fresh
