@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import SolveReport, check_morse_tol
 from .descent import DescentOptions
 from .grid import DomainSpec, Field
-from .mountainpass import MPOptions, PathCollapseError
+from .mountainpass import MPOptions
 from .nonlinearity import MIN_VALIDATE_SAMPLES, Nonlinearity, validate_condition_g
 from .oracle import (MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, fan_slopes, find_branch,
                      sign_change_brackets, sweep)
@@ -57,7 +57,6 @@ _SCHEMA: dict[str, type] = {
     "mountainpass.grad_tol": float,
     "mountainpass.perturbation": float,
     "mountainpass.collapse_tol": float,
-    "mountainpass.restart_limit": int,
     "morse.tol": float,
     "validate.samples": int,
     "eigen.count": int,
@@ -381,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (PathCollapseError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 

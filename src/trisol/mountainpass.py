@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import Classification, CriticalPoint
 from .descent import DescentOptions, _armijo_step
 from .energy import EnergyModel
-from .grid import Field, h1_seminorm_sq_values, index_at_zero
+from .grid import Field, h1_seminorm_sq_values
 from .nonlinearity import TruncationMode
 from .spectrum import eigenpairs
 
@@ -41,7 +41,6 @@ class MPOptions(DescentOptions):
     max_iters: int = 20000
     perturbation: float = 0.1       # midpoint bump along phi_2, in units of delta
     collapse_tol: float = 1e-6
-    restart_limit: int = 3
 
     def __post_init__(self):
         super().__post_init__()
@@ -173,11 +172,12 @@ def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
     """The third critical point, found as the converged peak of a deforming
     path from the negative minimizer to the positive one.
 
-    The initial path is the straight interpolation plus a midpoint bump
-    along the second eigenfunction, which breaks odd symmetry.  If the
-    returned point is the origin and the stencil gives the origin Morse
-    index >= 2, the search restarts with the bump doubled, up to the
-    restart limit.
+    Each endpoint must have converged to within the larger of the path
+    tolerance and the residual its own stage reported, and must have
+    negative energy.  The initial path is the straight interpolation plus a
+    midpoint bump along the second eigenfunction, which breaks odd symmetry.
+    If the path ends on the origin, it runs once more with the default bump,
+    unless that bump is the one just tried.
     """
     opts = opts or MPOptions()
     if model.mode is not TruncationMode.FULL:
@@ -185,21 +185,19 @@ def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
     tol = opts.grad_tol * model.nl.scale
     for name, point in (("u_minus", u_minus), ("u_plus", u_plus)):
         res = float(np.max(np.abs(model.residual_values(point.u.values))))
-        if not point.converged or res > tol:
+        bound = max(tol, point.residual)
+        if not point.converged or res > bound:
             raise ValueError(f"{name} is not a converged critical point "
-                             f"(residual {res:.3e} > {tol:.3e})")
+                             f"(residual {res:.3e} > {bound:.3e})")
         if model.phi_values(point.u.values) >= 0.0:
             raise ValueError(f"{name} must have negative energy")
 
-    perturbation = opts.perturbation
-    for _ in range(max(opts.restart_limit, 0) + 1):
+    values, iterations, converged, residual = _run_path_loop(
+        model, u_minus.u, u_plus.u, opts, opts.perturbation, tol)
+    default = MPOptions.perturbation
+    if converged and float(np.max(np.abs(values))) <= 1e-6 and opts.perturbation != default:
         values, iterations, converged, residual = _run_path_loop(
-            model, u_minus.u, u_plus.u, opts, perturbation, tol)
-        if not (converged and float(np.max(np.abs(values))) <= 1e-6):
-            break
-        if index_at_zero(model.domain, float(model.nl.gprime(np.asarray(0.0)))) < 2:
-            break
-        perturbation = 2.0 * perturbation if perturbation > 0.0 else MPOptions().perturbation
+            model, u_minus.u, u_plus.u, opts, default, tol)
 
     return CriticalPoint(u=Field(model.domain, values), energy=model.phi_values(values),
                          residual=residual, classification=Classification.MOUNTAIN_PASS,

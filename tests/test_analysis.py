@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -386,6 +389,36 @@ def test_assemble_report_refuses_morse_comparison_for_k1(p1):
     report = assemble_report(model, condition, p1["minus"], p1["plus"], p1["star"])
     assert report.morse_comparison == "refused"
     assert not report.flags["morse_comparison"]
+
+
+def _copies(*points):
+    # assemble_report writes Morse and bounds results into its points
+    return [dataclasses.replace(p) for p in points]
+
+
+def test_assemble_report_notes_a_bound_violation(p1, p1_report):
+    model = p1["models"][TruncationMode.FULL]
+    star = p1["star"]
+    past = 1.5 * p1["nl"].a_plus / float(np.max(star.u.values))
+    scaled = dataclasses.replace(star, u=Field(p1["spec"], past * star.u.values))
+    report = assemble_report(model, p1_report.condition_g,
+                             *_copies(p1["minus"], p1["plus"]), scaled)
+    assert not report.flags["bounds"]
+    assert not scaled.bounds_ok
+    (note,) = [n for n in report.notes if "bound violation" in n]
+    assert re.fullmatch(r"MountainPass: bound violation \d\.\d{3}e[+-]\d+ at node \d+", note)
+
+
+def test_assemble_report_marks_a_degenerate_comparison_inconclusive(p1, p1_report):
+    # a tolerance of 100 puts eigenvalues of the origin inside [-tol, tol)
+    model = p1["models"][TruncationMode.FULL]
+    report = assemble_report(model, p1_report.condition_g,
+                             *_copies(p1["minus"], p1["plus"], p1["star"]), morse_tol=100.0)
+    assert report.trivial.morse_degenerate
+    assert report.morse_comparison == "inconclusive"
+    assert not report.flags["morse_comparison"]
+    assert "Morse comparison inconclusive: degenerate eigenvalue within tolerance of zero" \
+        in report.notes
 
 
 def test_classical_equivalence_flag(p1_report):

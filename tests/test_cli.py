@@ -98,7 +98,6 @@ _VALID_SETTINGS = {
     "mountainpass.grad_tol": "1e-7",
     "mountainpass.perturbation": "0.2",
     "mountainpass.collapse_tol": "1e-5",
-    "mountainpass.restart_limit": "2",
     "morse.tol": "1e-5",
     "validate.samples": "256",
     "eigen.count": "4",
@@ -111,7 +110,7 @@ _VALID_SETTINGS = {
 
 
 def test_valid_settings_cover_the_schema():
-    assert len(_SCHEMA) == 29
+    assert len(_SCHEMA) == 28
     assert set(_VALID_SETTINGS) == set(_SCHEMA)
 
 
@@ -291,16 +290,29 @@ def test_solve_command_large_interval(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["poisson.tol = 1e-10", "morse.num_eigs = 0",
-                                  "nonlinearity.name = cubic"])
+                                  "nonlinearity.name = cubic",
+                                  "mountainpass.restart_limit = 3"])
 def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys, line):
     # Poisson solves are direct and Morse indices are exact counts, so the
-    # old tolerance and eigenvalue-window keys are unknown now, and so is
-    # the nonlinearity name, whose only value was cubic
+    # old tolerance and eigenvalue-window keys are unknown now, and so are
+    # the nonlinearity name, whose only value was cubic, and the path's
+    # restart budget, which one fixed retry rule replaced
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     key = line.split(" = ")[0]
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["descent.grad_tol = 1e-6", "mountainpass.grad_tol = 1e-10"])
+def test_descent_and_path_tolerances_are_independent(tmp_path, capsys, line):
+    # each endpoint is held to the tolerance its own descent met, not the path's
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = p1-interval\n{line}\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert all(report["flags"].values())
+    assert [p["morse_index"] for p in report["points"]] == [0, 0, 1, 2]
 
 
 _ALL_COMMANDS = ("solve", "eigen", "validate", "oracle")

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from trisol import mountainpass
-from trisol.analysis import Classification, morse_index
+from trisol.analysis import Classification, CriticalPoint, morse_index
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
-from trisol.grid import DomainSpec, h1_seminorm_sq_values, neg_laplacian_values
+from trisol.grid import DomainSpec, Field, h1_seminorm_sq_values, neg_laplacian_values
 from trisol.mountainpass import (RESPACE_EVERY, MPOptions, PathCollapseError,
                                  _h1_reflection, _initial_path, _redistribute,
                                  find_mountain_pass)
 from trisol.nonlinearity import TruncationMode
+from trisol.pipeline import run_pipeline
 from trisol.presets import build_preset, cubic_nonlinearity
 from trisol.spectrum import eigenpairs
 
@@ -112,39 +113,63 @@ def test_collapse_detection_fires(solved):
                            MPOptions(collapse_tol=1e6))
 
 
+def _count_path_starts(starts):
+    def watch(info):
+        if info["iteration"] == 0:
+            starts.append(info["residual"])
+    return watch
+
+
 def test_restart_rule_escapes_the_origin(solved):
     # with no symmetry-breaking bump the odd problem parks the path maximum
-    # exactly on the origin (a critical point of index >= 2); the restart
-    # rule reruns with a real bump and lands on a genuine saddle
+    # exactly on the origin (a critical point of index >= 2); the retry
+    # rule reruns once with the default bump and lands on a genuine saddle
     spec, nl, full_model, minus, plus = solved
     starts = []
-
-    def watch(info):
-        if info["iteration"] == 0:
-            starts.append(info["residual"])
-
-    opts = MPOptions(perturbation=0.0, restart_limit=3, callback=watch)
+    opts = MPOptions(perturbation=0.0, callback=_count_path_starts(starts))
     star = find_mountain_pass(full_model, minus, plus, opts)
-    assert len(starts) == 2         # exactly one restart was needed
+    assert len(starts) == 2
     assert star.converged
     assert np.max(np.abs(star.u.values)) > 0.1
+    default = find_mountain_pass(full_model, minus, plus)
+    assert np.array_equal(star.u.values, default.u.values)
+    assert star.iterations == default.iterations
 
 
-@pytest.mark.parametrize("limit", [0, -1])
-def test_restart_limit_without_restarts(solved, limit):
-    # no restart allowed: the one run's landing on the origin is returned
-    spec, nl, full_model, minus, plus = solved
+def test_tiny_bump_retries_with_the_default_bump():
+    # on p2 a bump of 1e-12 keeps the path symmetric enough to end on the
+    # origin (index 3); the one retry at the default bump finds the saddle
+    spec, nl = build_preset("p2-square")
     starts = []
+    report = run_pipeline(spec, nl, mp_opts=MPOptions(
+        perturbation=1e-12, callback=_count_path_starts(starts)))
+    assert len(starts) == 2
+    assert report.all_ok
+    assert report.star.morse_index == 1
 
-    def watch(info):
-        if info["iteration"] == 0:
-            starts.append(info["residual"])
 
-    opts = MPOptions(perturbation=0.0, restart_limit=limit, callback=watch)
-    star = find_mountain_pass(full_model, minus, plus, opts)
+def test_default_bump_on_the_origin_runs_the_path_once():
+    # k = 1 (lambda = 30 lies between the first two eigenvalues of the unit
+    # square): the pass between the minimizers is the origin itself, and a
+    # retry at the bump just tried would only repeat the run
+    square = DomainSpec.rectangle(1.0, 1.0, 15, 15)
+    _, nl, full_model, minus, plus = _minimizers(square, cubic_nonlinearity(square, 30.0))
+    assert nl.k == 1
+    starts = []
+    star = find_mountain_pass(full_model, minus, plus,
+                              MPOptions(callback=_count_path_starts(starts)))
     assert len(starts) == 1
     assert star.converged
     assert np.max(np.abs(star.u.values)) <= 1e-6
+
+
+def test_rejects_an_endpoint_with_nonnegative_energy(solved):
+    # the origin is a converged critical point, but of energy zero
+    spec, nl, full_model, minus, _ = solved
+    trivial = CriticalPoint(u=Field.zeros(spec), energy=0.0, residual=0.0,
+                            classification=Classification.TRIVIAL, converged=True)
+    with pytest.raises(ValueError, match="u_plus must have negative energy"):
+        find_mountain_pass(full_model, minus, trivial)
 
 
 def test_iteration_cap_returns_data(solved):
@@ -206,6 +231,22 @@ def test_redistribute_equals_node_by_node_loop(pin):
             looped = _redistribute_node_by_node(spec, nodes, pin)
         assert np.array_equal(vectorized, looped)
         assert np.array_equal(vectorized[[0, pin, 21]], nodes[[0, pin, 21]])
+
+
+def test_redistribute_keeps_a_zero_length_side_and_respaces_the_other():
+    # every node up to the pin equals the start, so that side has zero H1
+    # length and keeps its nodes; the other side, unevenly spaced along a
+    # line, is still re-spaced evenly
+    spec = DomainSpec.interval(1.0, 15)
+    rng = np.random.default_rng(0)
+    start, direction = rng.standard_normal((2, spec.size))
+    pin, last = 8, 21
+    ts = np.concatenate((np.zeros(pin), (np.arange(last - pin + 1) / (last - pin)) ** 2))
+    nodes = start + np.outer(ts, direction)
+    out = _redistribute(spec, nodes, pin)
+    assert np.array_equal(out[:pin + 1], nodes[:pin + 1])
+    even = start + np.outer(np.arange(last - pin + 1) / (last - pin), direction)
+    assert np.allclose(out[pin:], even, rtol=0.0, atol=1e-12)
 
 
 def test_path_search_evaluates_energy_once_per_iteration(p1, monkeypatch):

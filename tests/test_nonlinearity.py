@@ -201,6 +201,22 @@ def test_validate_condition_g_requires_k_at_least_two(interval_spec):
     assert any(f.check == "k_min" for f in report.failures)
 
 
+def test_validate_condition_g_flags_gprime0_below_the_first_eigenvalue(interval_spec):
+    # g'(0) = 5 lies below pi^2, so no stencil eigenvalue is at or below it
+    lam = 5.0
+    low = Nonlinearity(g=lambda t: lam * t - t**3,
+                       gprime=lambda t: lam - 3.0 * t**2,
+                       a_minus=-np.sqrt(lam), a_plus=np.sqrt(lam),
+                       delta=0.5, k=2)
+    report = validate_condition_g(low, interval_spec)
+    assert not report.ok
+    assert report.k_computed == 0
+    (failure,) = [f for f in report.failures if f.check in ("gprime0", "index")]
+    assert failure.check == "gprime0"
+    assert failure.detail == "g'(0) = 5 is below the first stencil eigenvalue"
+    assert failure.witness == 5.0
+
+
 def test_validate_condition_g_flags_bad_roots(interval_spec):
     bad = Nonlinearity(g=lambda t: 60.0 * t - t**3,
                        gprime=lambda t: 60.0 - 3.0 * t**2,
