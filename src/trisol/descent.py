@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import Classification, CriticalPoint
 from .energy import EnergyModel
-from .grid import Field, quadrature
+from .grid import Field, inner_product_values, quadrature
 from .nonlinearity import TruncationMode
 from .spectrum import Eigenpair
 
@@ -89,7 +89,6 @@ def minimize(model: EnergyModel, u0: Field,
     classification = (Classification.POSITIVE_MIN
                       if model.mode is TruncationMode.PLUS
                       else Classification.NEGATIVE_MIN)
-    vol = model.domain.cell_volume
     u = u0.values.copy()
     tol = opts.grad_tol * model.nl.scale
     converged = False
@@ -107,7 +106,7 @@ def minimize(model: EnergyModel, u0: Field,
         if it == opts.max_iters:
             break
         direction = -model.preconditioned_values(u)
-        slope = vol * float(np.dot(residual, direction))
+        slope = inner_product_values(model.domain, residual, direction)
         step, decrease = _armijo_step(model, u, residual, direction, slope, opts)
         if step is None:
             break

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (DomainSpec, Field, _check_same_domain,
-                   h1_seminorm_sq_values, neg_laplacian_values,
-                   solve_poisson_values)
+                   h1_seminorm_sq_values, inner_product_values,
+                   neg_laplacian_values, solve_poisson_values)
 from .nonlinearity import (Nonlinearity, TruncationMode, antiderivative,
                            truncate, truncation_increments)
 
@@ -56,11 +56,11 @@ class EnergyModel:
         term scales with the step, so tiny decreases near convergence are
         resolved instead of drowning in the rounding of phi itself.
         """
-        vol = self.domain.cell_volume
-        quad = vol * (np.dot(residual, step)
-                      + 0.5 * np.dot(step, neg_laplacian_values(self.domain, step)))
+        spec = self.domain
+        quad = (inner_product_values(spec, residual, step)
+                + 0.5 * inner_product_values(spec, step, neg_laplacian_values(spec, step)))
         rem = np.sum(truncation_increments(self.nl, self.mode, values, step))
-        return float(quad - vol * rem)
+        return float(quad - spec.cell_volume * rem)
 
     # -- field-level API ---------------------------------------------------
 

@@ -216,7 +216,7 @@ def quadrature(domain: DomainSpec, u: Field, kind: str) -> float:
     if kind == "integral":
         return float(vol * np.sum(vals))
     if kind == "l2_norm":
-        return float(np.sqrt(vol * np.sum(vals * vals)))
+        return float(np.sqrt(inner_product_values(domain, vals, vals)))
     if kind == "sup_norm":
         return float(np.max(np.abs(vals)))
     if kind == "h1_seminorm":
@@ -224,11 +224,16 @@ def quadrature(domain: DomainSpec, u: Field, kind: str) -> float:
     raise ValueError(f"unknown quadrature kind {kind!r}; expected one of {QUADRATURE_KINDS}")
 
 
+def inner_product_values(domain: DomainSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """h^d <a, b>, summed pairwise by numpy: a BLAS dot's rounding depends on its threads."""
+    return domain.cell_volume * float(np.add.reduce(a * b))
+
+
 def inner_product(domain: DomainSpec, u: Field, v: Field) -> float:
     """Quadrature-weighted pairing h^d <u, v>."""
     _check_same_domain(domain, u)
     _check_same_domain(domain, v)
-    return float(domain.cell_volume * np.dot(u.values, v.values))
+    return inner_product_values(domain, u.values, v.values)
 
 
 @functools.lru_cache(maxsize=8)

@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import Classification, CriticalPoint
 from .descent import DescentOptions, _armijo_step
 from .energy import EnergyModel
-from .grid import Field, h1_seminorm_sq_values
+from .grid import Field, h1_seminorm_sq_values, inner_product_values
 from .nonlinearity import TruncationMode
 from .spectrum import eigenpairs
 
@@ -94,9 +94,9 @@ def _initial_path(model, u_minus, u_plus, opts, perturbation):
     return nodes
 
 
-def _h1_reflection(vol, residual, direction, tangent, tau_sq):
-    """direction = -A^{-1} residual reflected across tangent in H1 (vol <x, A y>)."""
-    return direction + (2.0 * vol * float(np.dot(residual, tangent)) / tau_sq) * tangent
+def _h1_reflection(domain, residual, direction, tangent, tau_sq):
+    """direction = -A^{-1} residual reflected across tangent in H1 (h^d <x, A y>)."""
+    return direction + (2.0 * inner_product_values(domain, residual, tangent) / tau_sq) * tangent
 
 
 def _descend_max_node(model, u, residual, opts, tangent):
@@ -111,19 +111,20 @@ def _descend_max_node(model, u, residual, opts, tangent):
     sqrt(-slope).  When no reflected step helps, one plain Armijo descent
     step reshapes the path instead.
     """
-    vol = model.domain.cell_volume
+    spec = model.domain
     direction = -model.preconditioned_values(u)
-    slope = vol * float(np.dot(residual, direction))
-    tau_sq = h1_seminorm_sq_values(model.domain, tangent)
+    slope = inner_product_values(spec, residual, direction)
+    tau_sq = h1_seminorm_sq_values(spec, tangent)
     if tau_sq > 0.0:
-        reflected = _h1_reflection(vol, residual, direction, tangent, tau_sq)
-        res_norm = np.linalg.norm(residual)
+        reflected = _h1_reflection(spec, residual, direction, tangent, tau_sq)
+        res_norm = np.sqrt(inner_product_values(spec, residual, residual))
         step = min(opts.initial_step, 0.5 * np.sqrt(tau_sq / -slope))
         # useful reflected steps are O(1); below 1e-8 let the plain step act
         while step >= 1e-8:
             candidate = u + step * reflected
             res_new = model.residual_values(candidate)
-            if np.linalg.norm(res_new) <= (1.0 - opts.armijo_c * step) * res_norm:
+            if (np.sqrt(inner_product_values(spec, res_new, res_new))
+                    <= (1.0 - opts.armijo_c * step) * res_norm):
                 return candidate
             step *= opts.backtrack_factor
 
@@ -144,6 +145,9 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation, tol):
         if opts.callback is not None:
             opts.callback({"iteration": it, "residual": res_sup,
                            "state": PathState(nodes, energies, jmax)})
+        if not np.isfinite(energies[jmax] + res_sup):
+            raise RuntimeError(f"path peak is not finite at path iteration {it} (energy "
+                               f"{energies[jmax]:.3e}, residual {res_sup:.3e})")
         if res_sup <= tol:
             return nodes[jmax], it, True, res_sup
         if np.any(np.sqrt(h1_seminorm_sq_values(spec, u - nodes[[0, last]]))

@@ -353,12 +353,14 @@ def test_oracle_zero_slope_step_is_exit_2(tmp_path, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
-def _run_python(code, cwd, **kwargs):
+def _run_python(code, cwd, env=None, **kwargs):
     """Run `code` in a fresh interpreter that imports this trisol, with its
-    stdout piped and block-buffered, as a pipe is by default."""
+    stdout piped and block-buffered, as a pipe is by default; `env` adds to
+    or overrides the parent's environment."""
     src = str(Path(trisol.__file__).resolve().parents[1])
     env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           **(env or {})}
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True, **kwargs)
 
@@ -407,12 +409,16 @@ def test_non_finite_key_is_exit_2(tmp_path, key, commands, value):
     ("interval", "nonlinearity.lambda = 1e12", {"validate": 1, "solve": 1}),
     ("interval", "nonlinearity.lambda = 1e300", {"validate": 2, "solve": 2}),
     ("interval", "domain.length = 1e-160",
-     {"eigen": 1, "validate": 2, "solve": 2, "oracle": 2})])
+     {"eigen": 1, "validate": 2, "solve": 2, "oracle": 2}),
+    ("interval", "validate.samples = 1000000000000", {"validate": 1, "solve": 1}),
+    ("interval", "grid.n = 1000000000", {"validate": 1, "solve": 1, "oracle": 0}),
+    ("interval", "mountainpass.path_count = 100000000", {"solve": 1})])
 def test_large_input_ends_inside_the_cap(tmp_path, kind, line, codes):
     # the modes up to lambda, or up to the eigen.count smallest, are
     # enumerated within the cap, and an enumeration too large to hold is a
     # named error raised before it allocates; so is a side so short that its
-    # eigenvalues overflow
+    # eigenvalues overflow.  An array too large for the cap (7.28 TiB of
+    # samples, a 7.45 GiB grid, a 763 MiB path) is a solver error.
     got, err = _main_in_capped_child(tmp_path, f"domain.kind = {kind}\n{line}", tuple(codes))
     assert dict(zip(codes, got)) == codes
     assert "Traceback" not in err
@@ -458,6 +464,25 @@ def test_solve_and_oracle_skip_optional_numpy_modules(tmp_path):
                    "oracle.slope_step = 0.5\noracle.steps = 1024\n")
     oracle = ["oracle", "--config", str(cfg)]
     assert _optional_numpy_modules_after(oracle, tmp_path) == (0, "[]")
+
+
+def test_solve_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 101 x 101 a BLAS dot splits its sum over the threads, so a field
+    # pairing through BLAS would move u_star.csv and u*'s energy with the
+    # thread count; numpy's pairwise sum has one order for any count
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argv = ["solve", "--preset", "p2-square", "--n", "101", "--out", str(out)]
+        code = f"from trisol.cli import main\nprint(main({argv!r}))"
+        done = _run_python(code, tmp_path, env={"OPENBLAS_NUM_THREADS": threads})
+        assert done.stdout.strip().splitlines()[-1] == "0"
+        outputs.append(out)
+    reports = [[line for line in (out / "report.json").read_text().splitlines()
+                if '"timestamp"' not in line] for out in outputs]
+    assert reports[0] == reports[1]
+    for name in ("u_minus.csv", "u_plus.csv", "u_star.csv", "u_zero.csv"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
 def test_solve_command_failing_flag_is_exit_1(tmp_path, capsys):

@@ -5,7 +5,8 @@ from trisol import mountainpass
 from trisol.analysis import Classification, CriticalPoint, morse_index
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
-from trisol.grid import DomainSpec, Field, h1_seminorm_sq_values, neg_laplacian_values
+from trisol.grid import (DomainSpec, Field, h1_seminorm_sq_values, inner_product_values,
+                         neg_laplacian_values)
 from trisol.mountainpass import (RESPACE_EVERY, MPOptions, PathCollapseError,
                                  _h1_reflection, _initial_path, _redistribute,
                                  find_mountain_pass)
@@ -111,6 +112,19 @@ def test_collapse_detection_fires(solved):
                        match=r"at path iteration 0 \(peak residual \d\.\d{3}e[+-]\d+\)"):
         find_mountain_pass(full_model, minus, plus,
                            MPOptions(collapse_tol=1e6))
+
+
+def test_non_finite_path_peak_stops_at_its_first_iteration():
+    # a bump of 1e300 makes the initial peak's energy infinite while its
+    # residual (5.9e300) stays finite, so the residual test alone would let
+    # the path run to max_iters
+    spec, nl, full_model, minus, plus = _minimizers(*build_preset("p1-interval", 31))
+    seen = []
+    opts = MPOptions(perturbation=1e300, callback=lambda info: seen.append(info["iteration"]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match=r"not finite at path iteration 0 \(energy inf, "):
+        find_mountain_pass(full_model, minus, plus, opts)
+    assert seen == [0]
 
 
 def _count_path_starts(starts):
@@ -345,12 +359,11 @@ def test_path_step_is_the_h1_reflection(preset):
     u, tangent = nodes[j], nodes[j + 1] - nodes[j - 1]
     residual = full_model.residual_values(u)
     direction = -full_model.preconditioned_values(u)
-    vol = spec.cell_volume
 
     def a(x, y):
-        return vol * float(np.dot(x, neg_laplacian_values(spec, y)))
+        return inner_product_values(spec, x, neg_laplacian_values(spec, y))
 
-    reflected = _h1_reflection(vol, residual, direction, tangent,
+    reflected = _h1_reflection(spec, residual, direction, tangent,
                                h1_seminorm_sq_values(spec, tangent))
     assert a(reflected, tangent) == pytest.approx(-a(direction, tangent), rel=1e-9)
     assert a(reflected, reflected) == pytest.approx(a(direction, direction), rel=1e-9)
