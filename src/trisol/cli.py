@@ -25,8 +25,8 @@ from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions
 from .nonlinearity import MIN_VALIDATE_SAMPLES, Nonlinearity, validate_condition_g
-from .oracle import (MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, fan_slopes, find_branch,
-                     sign_change_brackets, sweep)
+from .oracle import (MAX_RK4_STEPS, MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, fan_slopes,
+                     find_branch, scan, sign_change_brackets, sweep)
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
 from .spectrum import MIN_EIGEN_COUNT, eigenvalue_table
@@ -148,6 +148,8 @@ class RunConfig:
                            ("oracle.steps", MIN_RK4_STEPS)):
             if settings.get(key, floor) < floor:
                 raise ConfigError(f"{key} must be at least {floor}, got {settings[key]}")
+        if (steps := settings.get("oracle.steps", RK4_STEPS)) > MAX_RK4_STEPS:
+            raise ConfigError(f"oracle.steps must be at most {MAX_RK4_STEPS}, got {steps}")
         lo, hi, step = (settings[f"oracle.slope_{end}"] for end in ("min", "max", "step"))
         if not (np.all(np.isfinite([lo, hi, step])) and lo < hi and step > 0):
             raise ConfigError("oracle slopes need finite slope_min < slope_max "
@@ -311,24 +313,22 @@ def cmd_oracle(cfg: RunConfig) -> int:
     lo, hi, step = (cfg.settings[f"oracle.slope_{end}"] for end in ("min", "max", "step"))
     steps = cfg.settings.get("oracle.steps", RK4_STEPS)
     slopes = np.arange(lo, hi + 0.5 * step, step)
-    # the scan only places sign changes and blow-ups, so it runs at a quarter
+    # the scan only places sign changes and blow-ups, so it runs at a sixteenth
     # of the steps; a lane next to one may change side at `steps`, so every
     # lane within one lane of an edge is integrated again at `steps`, together
-    # with the round-1 slopes of the scan's brackets, which `find_branch` takes
-    # when `steps` leaves every bracket in place; an edge that then touches
-    # a lane not integrated again has moved further, and every lane is scanned
-    # at `steps`
-    endpoints, blown = sweep(nl, length, slopes, max(MIN_RK4_STEPS, steps // 4))
-    edges = _scan_edges(endpoints, blown)
-    near = np.unique(np.clip(edges[:, None] + np.arange(-1, 3), 0, slopes.size - 1))
-    swept = None
-    if near.size:
-        fans = fan_slopes(sign_change_brackets(slopes, endpoints, blown))
-        lanes = np.concatenate([slopes[near], fans.ravel()])
-        swept = (lanes, *sweep(nl, length, lanes, steps))
-        endpoints[near], blown[near] = swept[1][:near.size], swept[2][:near.size]
-        if not np.isin(_scan_edges(endpoints, blown)[:, None] + [0, 1], near).all():
-            endpoints, blown = sweep(nl, length, slopes, steps)
+    # with the two end lanes and the round-1 slopes of the scan's brackets,
+    # which `find_branch` takes when `steps` leaves every bracket in place; an
+    # edge that then touches a lane not integrated again has moved further (or
+    # into the range past an end lane), and every lane is scanned at `steps`
+    endpoints, blown = scan(nl, length, slopes, steps)
+    near = np.union1d(np.clip(_scan_edges(endpoints, blown)[:, None] + np.arange(-1, 3), 0,
+                              slopes.size - 1), [0, slopes.size - 1])
+    fans = fan_slopes(sign_change_brackets(slopes, endpoints, blown))
+    lanes = np.concatenate([slopes[near], fans.ravel()])
+    swept = (lanes, *sweep(nl, length, lanes, steps))
+    endpoints[near], blown[near] = swept[1][:near.size], swept[2][:near.size]
+    if not np.isin(_scan_edges(endpoints, blown)[:, None] + [0, 1], near).all():
+        endpoints, blown = sweep(nl, length, slopes, steps)
     brackets = sign_change_brackets(slopes, endpoints, blown)
     branches = []
     for shot in find_branch(nl, length, brackets, steps, swept):

@@ -8,11 +8,13 @@ and dropped from the sweep.  Roots of the endpoint map are refined by batched
 multisection: round 1 spreads 65 slopes over each sign-change bracket, and
 later rounds centre 65 slopes on the root of an inverse interpolant through the
 lanes nearest the last sign change, or spread them over that sign change where
-the interpolant is ill-posed.
+the interpolant is ill-posed.  Each round keeps every lane's state every ~sqrt(steps)
+steps, and the branches found are replayed from those states in one short sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ from .nonlinearity import Nonlinearity
 
 RK4_STEPS = 4096  # default steps per trajectory
 MIN_RK4_STEPS = 1000
+MAX_RK4_STEPS = 2**20  # steps per trajectory in one command-line run
 MAX_SWEEP_LANES = 1_000_000  # slopes in one command-line sweep
 _LANES = 64  # sub-brackets per multisection round; a sweep of 65 lanes costs about one shot
 
@@ -69,61 +72,93 @@ def _stage_sum(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray,
     return k2
 
 
-def _rk4_sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
-               steps: int, record: bool):
-    """Integrate all slopes at once; returns (endpoints, blown, values, derivatives)."""
-    if steps < MIN_RK4_STEPS:
-        raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
+def _rk4_sweep(nl: Nonlinearity, h: float, u: np.ndarray, p: np.ndarray, steps: int, every: int):
+    """`steps` RK4 steps of size h from (u, u') = (u, p) on all lanes at once; returns
+    each lane's final u and blown flag, and its u and p every `every` steps from the
+    start (None, None for 0).  A lane whose |u| passes the cap, at the start too, freezes."""
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
-    h = length / steps
-    p = np.array(slopes, dtype=float)
-    u, frozen = np.zeros_like(p), np.zeros((2, p.size))  # u and p of the blown lanes
+    u, p = np.array(u, dtype=float), np.array(p, dtype=float)
+    frozen = np.zeros((2, p.size))  # u and p of the blown lanes
     blown, live = np.zeros(p.shape, dtype=bool), np.arange(p.size)
-    traj = np.zeros((steps + 1, p.size)) if record else None
-    dtraj = np.zeros((steps + 1, p.size)) if record else None
-    if record:
-        dtraj[0] = p
-    for i in range(steps):     # u' = p, p' = -g(u), with g1..g4 = -k1p..-k4p
-        g1 = nl.g(u)
-        k2u = p - 0.5 * h * g1
-        g2 = nl.g(u + 0.5 * h * p)
-        k3u = p - 0.5 * h * g2
-        g3 = nl.g(u + 0.5 * h * k2u)
-        k4u = p - h * g3
-        g4 = nl.g(u + h * k3u)
-        u += _stage_sum(p, k2u, k3u, k4u, h)
-        p -= _stage_sum(g1, g2, g3, g4, h)  # into g2: a g returning its argument makes g1 u
+    us, ps = np.zeros((2, steps // every + 1, p.size)) if every else (None, None)
+    for i in range(steps + 1):
+        if i:  # u' = p, p' = -g(u), with g1..g4 = -k1p..-k4p
+            g1 = nl.g(u)
+            k2u = p - 0.5 * h * g1
+            g2 = nl.g(u + 0.5 * h * p)
+            k3u = p - 0.5 * h * g2
+            g3 = nl.g(u + 0.5 * h * k2u)
+            k4u = p - h * g3
+            g4 = nl.g(u + h * k3u)
+            u += _stage_sum(p, k2u, k3u, k4u, h)
+            p -= _stage_sum(g1, g2, g3, g4, h)  # into g2: a g returning its argument makes g1 u
         if np.abs(u).max(initial=0.0) > cap:
             out = np.abs(u) > cap
             frozen[:, live[out]], blown[live[out]] = (u[out], p[out]), True
             live, u, p = live[~out], u[~out], p[~out]
-        if record:
-            traj[i + 1], dtraj[i + 1] = frozen
-            traj[i + 1, live], dtraj[i + 1, live] = u, p
+        if every and i % every == 0:
+            us[i // every], ps[i // every] = frozen
+            us[i // every, live], ps[i // every, live] = u, p
     frozen[0, live] = u
-    return frozen[0], blown, traj, dtraj
+    return frozen[0], blown, us, ps
 
 
-def _shots(nl: Nonlinearity, length: float, slopes: np.ndarray,
-           steps: int) -> list[ShotResult]:
-    """Integrate every slope in one recorded sweep; one ShotResult per slope."""
-    endpoints, blown, traj, dtraj = _rk4_sweep(nl, length, slopes, steps, record=True)
+def _check_steps(steps: int) -> None:
+    if steps < MIN_RK4_STEPS:
+        raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
+
+
+def _stride(steps: int) -> int:
+    """Steps between kept states: the divisor nearest sqrt(steps) within 2x, else steps."""
+    root = math.sqrt(steps)
+    return min((d for d in range(math.ceil(root / 2), math.floor(2 * root) + 1)
+                if steps % d == 0), key=lambda d: abs(d - root), default=steps)
+
+
+def _checkpointed(nl: Nonlinearity, length: float, slopes: np.ndarray, steps: int):
+    """One unrecorded sweep of an array of slopes; returns (endpoints, blown, starts)
+    shaped like it, starts[..., k, :] the (u, p) after k * _stride(steps) steps."""
+    ends, blown, us, ps = _rk4_sweep(nl, length / steps, np.zeros(slopes.size), slopes.ravel(),
+                                     steps, _stride(steps))
+    return (ends.reshape(slopes.shape), blown.reshape(slopes.shape),
+            np.stack([us[:-1].T, ps[:-1].T], axis=-1).reshape(*slopes.shape, -1, 2))
+
+
+def _replay(nl: Nonlinearity, length: float, steps: int,
+            starts: np.ndarray) -> list[ShotResult]:
+    """One ShotResult per row of `starts` (trajectory, segment, (u, p)), the states
+    at equal intervals from step 0: all segments in one recorded sweep, with the bits
+    of one sweep of the whole trajectory, since each lane's arithmetic is its own."""
+    count, segments, _ = starts.shape
+    ends, blown, us, ps = _rk4_sweep(nl, length / steps, *starts.reshape(-1, 2).T,
+                                     steps // segments, 1)
+    us, ps = us.reshape(-1, count, segments), ps.reshape(-1, count, segments)
     xs = np.linspace(0.0, length, steps + 1)
-    return [ShotResult(slope=float(s), endpoint=float(endpoints[j]), xs=xs,
-                       values=traj[:, j].copy(), derivatives=dtraj[:, j].copy(),
-                       blown_up=bool(blown[j])) for j, s in enumerate(slopes)]
+    return [ShotResult(slope=float(starts[j, 0, 1]), endpoint=float(ends[(j + 1) * segments - 1]),
+                       xs=xs, values=np.append(us[:-1, j].T, us[-1, j, -1]),
+                       derivatives=np.append(ps[:-1, j].T, ps[-1, j, -1]),
+                       blown_up=bool(blown[(j + 1) * segments - 1])) for j in range(count)]
 
 
 def shoot(nl: Nonlinearity, length: float, slope: float, steps: int) -> ShotResult:
     """Integrate one trajectory with u(0) = 0 and u'(0) = slope."""
-    return _shots(nl, length, np.array([slope], dtype=float), steps)[0]
+    _check_steps(steps)
+    return _replay(nl, length, steps, np.array([[[0.0, slope]]]))[0]
 
 
 def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
           steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint map over an array of slopes; returns (endpoints, blown_mask)."""
-    endpoints, blown, _, _ = _rk4_sweep(nl, length, slopes, steps, record=False)
-    return endpoints, blown
+    _check_steps(steps)
+    return _rk4_sweep(nl, length / steps, np.zeros_like(slopes), slopes, steps, 0)[:2]
+
+
+def scan(nl: Nonlinearity, length: float, slopes: np.ndarray,
+         steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """`sweep` at a sixteenth of `steps`, at least 256: it places sign changes and
+    blow-ups to within about a lane, for a caller that integrates those again."""
+    coarse = max(256, steps // 16)
+    return _rk4_sweep(nl, length / coarse, np.zeros_like(slopes), slopes, coarse, 0)[:2]
 
 
 def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
@@ -177,13 +212,13 @@ def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, flo
     """Multisect the endpoint map inside every sign-change bracket at once.
 
     Returns one ShotResult per bracket, in order.  Each round sweeps _LANES + 1
-    slopes of every bracket still refining in one `sweep`: round 1 the
+    slopes of every bracket still refining in one pass: round 1 the
     `fan_slopes` of the bracket (a blown end or a missing sign change raises
     ValueError for the first bracket that has one), later rounds the `_window` of
     the last first sign change [a, c], keeping the piece of [a, c] beside it if it
     misses the root.  A bracket stops when an endpoint is 0 or [a, c] is 2
-    roundings wide.  The slopes of smallest |endpoint| seen are recorded in one
-    sweep.
+    roundings wide.  The trajectories of the slopes of smallest |endpoint| seen
+    are replayed from the states their sweep kept every `_stride(steps)` steps.
 
     `swept` = (slopes, endpoints, blown) of lanes already integrated at `steps`,
     in any order: when every bracket's round-1 slopes lie among them, round 1
@@ -193,12 +228,13 @@ def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, flo
         return []
     if np.ndim(brackets) != 2 or np.shape(brackets)[1] != 2:
         raise ValueError(f"brackets must be a list of (lo, hi) pairs, got {brackets!r}")
+    _check_steps(steps)
     slopes = fan_slopes(brackets)
     where = {} if swept is None else {s: k for k, s in enumerate(swept[0].tolist())}
-    k = [where.get(s) for s in slopes.ravel().tolist()]
-    ends, blown = (sweep(nl, length, slopes.ravel(), steps) if None in k
-                   else (swept[1][k], swept[2][k]))
-    ends, blown = ends.reshape(slopes.shape), blown.reshape(slopes.shape)
+    k = np.array([where.get(s, -1) for s in slopes.ravel().tolist()]).reshape(slopes.shape)
+    ends, blown, starts = (_checkpointed(nl, length, slopes, steps) if (k < 0).any() else
+                           (swept[1][k], swept[2][k],  # states are not kept in `swept`
+                            np.full((*k.shape, steps // _stride(steps), 2), np.nan)))
     lo, hi = slopes[:, 0], slopes[:, -1]
     for b in range(len(lo)):
         if blown[b, [0, -1]].any():
@@ -207,21 +243,25 @@ def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, flo
             raise ValueError(f"no sign change on [{lo[b]}, {hi[b]}]: endpoints "
                              f"{ends[b, 0]:.3e}, {ends[b, -1]:.3e}")
     best, best_end = np.empty(len(lo)), np.full(len(lo), np.inf)
-    seen = list(zip(range(len(lo)), slopes, ends))
+    best_starts = np.empty((len(lo), *starts.shape[2:]))  # NaN: taken from `swept`, not kept
+    seen = list(zip(range(len(lo)), slopes, ends, starts))
     while True:
         live = []
-        for b, s, e in seen:
+        for b, s, e, c in seen:
             s, k = np.unique(s, return_index=True)
-            e = e[k]
+            e, c = e[k], c[k]
             k = np.argmin(np.abs(e))
             if abs(e[k]) < best_end[b]:
-                best[b], best_end[b] = s[k], abs(e[k])
+                best[b], best_end[b], best_starts[b] = s[k], abs(e[k]), c[k]
             i = np.flatnonzero(e[:-1] * e[1:] <= 0.0)[0]
             if best_end[b] > 0.0 and s[i + 1] - s[i] > 2 * np.spacing(np.abs(s[i:i + 2]).max()):
-                live.append((b, s[i:i + 2], e[i:i + 2], _window(s, e, i)))
+                live.append((b, s[i:i + 2], e[i:i + 2], c[i:i + 2], _window(s, e, i)))
         if not live:
-            return _shots(nl, length, best, steps)
+            break
         slopes = np.linspace(*np.array([w for *_, w in live]).T, _LANES + 1, axis=1)
-        ends = sweep(nl, length, slopes.ravel(), steps)[0].reshape(slopes.shape)
-        seen = [(b, np.insert(ac, 1, s), np.insert(eac, 1, e))
-                for (b, ac, eac, _), s, e in zip(live, slopes, ends)]
+        ends, _, starts = _checkpointed(nl, length, slopes, steps)
+        seen = [(b, np.insert(ac, 1, s), np.insert(eac, 1, e), np.insert(cac, 1, c, axis=0))
+                for (b, ac, eac, cac, _), s, e, c in zip(live, slopes, ends, starts)]
+    if (missing := np.isnan(best_starts).any(axis=(1, 2))).any():  # taken from `swept`
+        best_starts[missing] = _checkpointed(nl, length, best[missing], steps)[2]
+    return _replay(nl, length, steps, best_starts)

@@ -353,6 +353,14 @@ def test_oracle_zero_slope_step_is_exit_2(tmp_path, capsys):
     assert "configuration error" in err and "Traceback" not in err
 
 
+def test_oracle_steps_above_the_limit_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = p1-interval\noracle.steps = {oracle.MAX_RK4_STEPS + 1}\n")
+    assert main(["oracle", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "oracle.steps must be at most 1048576" in err and "Traceback" not in err
+
+
 def _run_python(code, cwd, env=None, **kwargs):
     """Run `code` in a fresh interpreter that imports this trisol, with its
     stdout piped and block-buffered, as a pipe is by default; `env` adds to
@@ -412,13 +420,15 @@ def test_non_finite_key_is_exit_2(tmp_path, key, commands, value):
      {"eigen": 1, "validate": 2, "solve": 2, "oracle": 2}),
     ("interval", "validate.samples = 1000000000000", {"validate": 1, "solve": 1}),
     ("interval", "grid.n = 1000000000", {"validate": 1, "solve": 1, "oracle": 0}),
-    ("interval", "mountainpass.path_count = 100000000", {"solve": 1})])
+    ("interval", "mountainpass.path_count = 100000000", {"solve": 1}),
+    ("interval", "oracle.steps = 1000000000000", {"oracle": 2})])
 def test_large_input_ends_inside_the_cap(tmp_path, kind, line, codes):
     # the modes up to lambda, or up to the eigen.count smallest, are
     # enumerated within the cap, and an enumeration too large to hold is a
     # named error raised before it allocates; so is a side so short that its
     # eigenvalues overflow.  An array too large for the cap (7.28 TiB of
-    # samples, a 7.45 GiB grid, a 763 MiB path) is a solver error.
+    # samples, a 7.45 GiB grid, a 763 MiB path) is a solver error.  An
+    # oracle.steps above 2**20, which would not end, is a configuration error.
     got, err = _main_in_capped_child(tmp_path, f"domain.kind = {kind}\n{line}", tuple(codes))
     assert dict(zip(codes, got)) == codes
     assert "Traceback" not in err
@@ -528,34 +538,34 @@ def _oracle_body(tmp_path, capsys, lines):
     return json.loads(capsys.readouterr().out)
 
 
-def _recorded_sweeps(monkeypatch, module=cli):
-    """Record (slopes, steps, blown) of every `sweep` that `oracle` makes in
-    `cmd_oracle` (module cli) or in `find_branch` (module oracle)."""
-    calls, sweep = [], module.sweep
+def _recorded_passes(monkeypatch):
+    """Record (lanes, steps, every, blown) of every RK4 pass that `oracle`
+    makes: the lanes are the initial u' of each, the slopes but in a replay."""
+    calls, rk4 = [], oracle._rk4_sweep
 
-    def recorded(nl, length, slopes, steps):
-        endpoints, blown = sweep(nl, length, slopes, steps)
-        calls.append((slopes.copy(), steps, blown.copy()))
-        return endpoints, blown
-    monkeypatch.setattr(module, "sweep", recorded)
+    def recorded(nl, h, u, p, steps, every):
+        end, blown, us, ps = rk4(nl, h, u, p, steps, every)
+        calls.append((np.array(p, dtype=float), steps, every, blown.copy()))
+        return end, blown, us, ps
+    monkeypatch.setattr(oracle, "_rk4_sweep", recorded)
     return calls
 
 
 def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys, monkeypatch):
     # the root lies about 1e-10 above the lane at 35.33740129699026, whose
-    # endpoint changes sign between the scan's 1024 steps and the full 4096;
+    # endpoint changes sign between the scan's 256 steps and the full 4096;
     # integrated again at 4096, the bracket holds the root.  It is not the
     # scan's bracket, so round 1 sweeps its slopes instead of taking the ones
-    # integrated with the edge lanes
-    calls = _recorded_sweeps(monkeypatch)
-    rounds = _recorded_sweeps(monkeypatch, oracle)
+    # integrated with the edge lanes and the two end lanes
+    calls = _recorded_passes(monkeypatch)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.28740129699027",
                                            "oracle.slope_max = 35.387401297090264",
                                            "oracle.slope_step = 0.01"])
-    (scan, _, _), (again, _, _) = calls
-    assert (scan.size, again.size) == (11, 69)
-    assert np.array_equal(again[4:], oracle.fan_slopes([(scan[4], scan[5])]).ravel())
-    assert np.array_equal(rounds[0][0], oracle.fan_slopes([(scan[5], scan[6])]).ravel())
+    (scan, coarse, _, _), (again, fine, _, _), (round_1, *_) = calls[:3]
+    assert (scan.size, coarse, again.size, fine) == (11, 256, 71, 4096)
+    assert np.array_equal(again[:6], scan[[0, 3, 4, 5, 6, 10]])
+    assert np.array_equal(again[6:], oracle.fan_slopes([(scan[4], scan[5])]).ravel())
+    assert np.array_equal(round_1, oracle.fan_slopes([(scan[5], scan[6])]).ravel())
     assert body["blown_up"] == 0 and body["branch_count"] == 1
     assert body["branches"] == [{"amplitude": 5.176440898219756,
                                  "endpoint": -5.551115123125783e-16,
@@ -564,35 +574,67 @@ def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys, monkeypat
 
 
 def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, monkeypatch):
-    # the scan runs at a quarter of the steps; the two lanes on each side of
+    # the scan runs at a sixteenth of the steps; the two lanes on each side of
     # the sign change between 42.40 and 42.41 and of the blown edge between
-    # 42.44 and 42.45 are integrated again at the full 4096, in the same pass
-    # as the round-1 slopes of the scan's one bracket
-    calls = _recorded_sweeps(monkeypatch)
+    # 42.44 and 42.45, and the two end lanes, are integrated again at the full
+    # 4096, in the same pass as the round-1 slopes of the scan's one bracket
+    calls = _recorded_passes(monkeypatch)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 42.0",
                                            "oracle.slope_max = 42.6",
                                            "oracle.slope_step = 0.01"])
-    (scan, coarse, _), (again, fine, blown) = calls
-    assert (scan.size, coarse, fine) == (61, 1024, 4096)
-    assert np.round(again[:8], 9).tolist() == [42.39, 42.4, 42.41, 42.42, 42.43, 42.44, 42.45,
-                                               42.46]
-    assert np.array_equal(again[8:], oracle.fan_slopes([(scan[40], scan[41])]).ravel())
-    assert blown.tolist() == [False] * 6 + [True] * 2 + [False] * 65
+    (scan, coarse, _, _), (again, fine, _, blown) = calls[:2]
+    assert (scan.size, coarse, fine) == (61, 256, 4096)
+    assert np.round(again[:10], 9).tolist() == [42.0, 42.39, 42.4, 42.41, 42.42, 42.43, 42.44,
+                                                42.45, 42.46, 42.6]
+    assert np.array_equal(again[10:], oracle.fan_slopes([(scan[40], scan[41])]).ravel())
+    assert blown.tolist() == [False] * 7 + [True] * 3 + [False] * 65
     assert body["blown_up"] == 16 and body["branch_count"] == 1
 
 
 def test_oracle_rescans_every_lane_when_a_root_moves_past_its_window(tmp_path, capsys,
                                                                      monkeypatch):
     # at 1024 steps the root lies about 6e-10 below its place at 4096, some
-    # 30 lanes of 2e-11: the lanes integrated again (4, with the 65 round-1
-    # slopes of the scan's bracket) all fall on one side, and the whole scan
-    # is repeated at 4096, which finds the root of the 4096-step scan
-    calls = _recorded_sweeps(monkeypatch)
+    # 30 lanes of 2e-11, and at the scan's 256 steps it lies below the whole
+    # range: the scan has no edge, the two end lanes integrated again at 4096
+    # fall on its two sides, and the whole scan is repeated at 4096, which
+    # finds the root of the 4096-step scan
+    calls = _recorded_passes(monkeypatch)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.337401296",
                                            "oracle.slope_max = 35.337401298",
                                            "oracle.slope_step = 2e-11"])
-    assert [(slopes.size, steps) for slopes, steps, _ in calls] == [(101, 1024), (69, 4096),
-                                                                    (101, 4096)]
+    assert [(lanes.size, steps) for lanes, steps, _, _ in calls] == [
+        (101, 256), (2, 4096), (101, 4096), (65, 4096), (65, 4096), (64, 64)]
+    assert body["blown_up"] == 0 and body["branch_count"] == 1
+    assert body["branches"] == [{"amplitude": 5.176440898219756,
+                                 "endpoint": -5.551115123125783e-16,
+                                 "interior_sign_changes": 1,
+                                 "slope": 35.33740129709027}]
+
+
+def test_oracle_rescans_every_lane_when_a_root_moves_past_its_edge_lanes(tmp_path, capsys,
+                                                                        monkeypatch):
+    # at the scan's 256 steps the root lies about 1.5e-7 below its place at
+    # 4096, some 73 lanes of 2e-9 but inside the range: the lanes beside the
+    # scan's edge, integrated again at 4096 (6 with the end lanes, and the 65
+    # round-1 slopes), all fall on one side, and the whole scan is repeated
+    calls = _recorded_passes(monkeypatch)
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.3374011",
+                                           "oracle.slope_max = 35.3374014",
+                                           "oracle.slope_step = 2e-9"])
+    assert [(lanes.size, steps) for lanes, steps, _, _ in calls] == [
+        (151, 256), (71, 4096), (151, 4096), (65, 4096), (65, 4096), (64, 64)]
+    assert body["blown_up"] == 0 and body["branch_count"] == 1
+    assert body["branches"][0]["slope"] == 35.33740129709027
+
+
+def test_oracle_finds_a_root_the_scan_moves_out_of_the_range(tmp_path, capsys):
+    # the 4096-step map changes sign between lanes 4 and 5, but the coarse
+    # scan's root lies outside the range, so it shows no sign change; the end
+    # lanes, integrated again at 4096, differ in sign and the range is scanned
+    # again at 4096
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.3374012970",
+                                           "oracle.slope_max = 35.3374012972",
+                                           "oracle.slope_step = 2e-11"])
     assert body["blown_up"] == 0 and body["branch_count"] == 1
     assert body["branches"] == [{"amplitude": 5.176440898219756,
                                  "endpoint": -5.551115123125783e-16,
@@ -601,17 +643,18 @@ def test_oracle_rescans_every_lane_when_a_root_moves_past_its_window(tmp_path, c
 
 
 def test_oracle_scan_without_an_edge_sweeps_once(tmp_path, capsys, monkeypatch):
-    calls = _recorded_sweeps(monkeypatch)
+    # beside the scan, only the two end lanes are integrated at the full steps
+    calls = _recorded_passes(monkeypatch)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = p1-interval\noracle.slope_min = 1\n"
                    "oracle.slope_max = 2\noracle.slope_step = 0.1\n")
     assert main(["oracle", "--config", str(cfg)]) == 1
     assert json.loads(capsys.readouterr().out)["branch_count"] == 0
-    assert [(slopes.size, steps) for slopes, steps, _ in calls] == [(11, 1024)]
+    assert [(lanes.size, steps) for lanes, steps, _, _ in calls] == [(11, 256), (2, 4096)]
 
 
 def test_oracle_2048_step_scan_output(tmp_path, capsys):
-    # the scan runs at the 1000-step floor; the branches are refined at 2048
+    # the scan runs at its 256-step floor; the branches are refined at 2048
     body = _oracle_body(tmp_path, capsys, ["oracle.steps = 2048", "oracle.slope_min = -45",
                                            "oracle.slope_max = 45", "oracle.slope_step = 0.05"])
     assert body["blown_up"] == 104 and body["branch_count"] == 2

@@ -55,7 +55,7 @@ def _reference_rk4(nl, length, slopes, steps, record):
 @pytest.mark.parametrize("record", [False, True], ids=["sweep", "recorded"])
 def test_rk4_step_is_bit_identical_to_reference(nl, steps, record):
     slopes = np.array([-50.0, -7.0, 0.0, 1e-6, 30.0, 42.4, 50.0])
-    got = oracle._rk4_sweep(nl, 1.0, slopes, steps, record)
+    got = oracle._rk4_sweep(nl, 1.0 / steps, np.zeros_like(slopes), slopes, steps, int(record))
     want = _reference_rk4(nl, 1.0, slopes, steps, record)
     assert want[1].any() and not want[1].all()  # blown and finite lanes both
     for g, w in zip(got, want):
@@ -95,7 +95,8 @@ def test_recorded_lanes_stay_frozen_after_blow_up(nl):
     # lanes that leave the cap at different steps are dropped from the sweep;
     # each keeps its frozen u and p in every later recorded row
     slopes = np.array([42.4, 46.0, 50.0, 60.0, -80.0, 7.0])
-    end, blown, traj, dtraj = oracle._rk4_sweep(nl, 1.0, slopes, 1000, record=True)
+    end, blown, traj, dtraj = oracle._rk4_sweep(nl, 1.0 / 1000, np.zeros_like(slopes), slopes,
+                                                1000, 1)
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
     first = [int(np.argmax(np.abs(traj[:, j]) > cap)) for j in np.flatnonzero(blown)]
     assert blown.sum() == 4 and len(set(first)) == 4
@@ -178,17 +179,14 @@ def test_find_branch_batched_equals_single(nl):
         assert np.array_equal(got.derivatives, want.derivatives)
 
 
-def _count_integrations(monkeypatch, lanes=None):
-    """Record the `record` flag of every RK4 pass, and "shoot" per shot; the
-    lane count of every pass too, into `lanes` if given."""
+def _count_integrations(monkeypatch):
+    """Record (lanes, steps, every) of every RK4 pass, and "shoot" per shot."""
     calls = []
     rk4, shot = oracle._rk4_sweep, oracle.shoot
 
-    def counted(nl, length, slopes, steps, record):
-        calls.append(record)
-        if lanes is not None:
-            lanes.append(len(slopes))
-        return rk4(nl, length, slopes, steps, record)
+    def counted(nl, h, u, p, steps, every):
+        calls.append((len(p), steps, every))
+        return rk4(nl, h, u, p, steps, every)
     monkeypatch.setattr(oracle, "_rk4_sweep", counted)
     monkeypatch.setattr(oracle, "shoot",
                         lambda *args: calls.append("shoot") or shot(*args))
@@ -196,16 +194,14 @@ def _count_integrations(monkeypatch, lanes=None):
 
 
 def test_find_branch_work_count(nl, monkeypatch):
-    # every bracket is refined in the same unrecorded sweep each round; the
-    # branches found are integrated together in one recorded sweep.  The
-    # +-35 brackets end after round 2, the +-42 ones, near the blow-up, after
-    # round 3
-    lanes = []
-    calls = _count_integrations(monkeypatch, lanes)
+    # every bracket is refined in the same unrecorded sweep each round, which
+    # keeps every lane's state each 64 steps; the branches found are rebuilt
+    # in one recorded sweep of all their 64-step segments at once.  The +-35
+    # brackets end after round 2, the +-42 ones, near the blow-up, after round 3
+    calls = _count_integrations(monkeypatch)
     brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4), (-35.4, -35.3)]
     assert len(find_branch(nl, 1.0, brackets, 4096)) == 4
-    assert calls == [False, False, False, True]
-    assert lanes == [260, 260, 130, 4]
+    assert calls == [(260, 4096, 64), (260, 4096, 64), (130, 4096, 64), (4 * 64, 64, 1)]
 
 
 def test_find_branch_takes_round_one_from_swept_lanes(nl, monkeypatch):
@@ -214,23 +210,79 @@ def test_find_branch_takes_round_one_from_swept_lanes(nl, monkeypatch):
     # 1 sweeps all 65 slopes of every bracket in one pass.  Either way the
     # result is the same bits as a run without them
     brackets = [(42.0, 42.41), (-42.41, -42.0), (35.3, 35.4)]
-    lanes = []
-    _count_integrations(monkeypatch, lanes)
+    calls = _count_integrations(monkeypatch)
     want = find_branch(nl, 1.0, brackets, 1000)
-    fresh = list(lanes)
-    assert fresh[0] == 65 * len(brackets)
+    fresh = list(calls)
+    assert fresh[0] == (65 * len(brackets), 1000, 25)
     for covered in ([0, 1, 2], [0, 2]):
         slopes = np.concatenate([[1.0, -42.0, -30.0],
                                  oracle.fan_slopes([brackets[b] for b in covered]).ravel()])
         swept = (slopes, *sweep(nl, 1.0, slopes, 1000))
-        lanes.clear()
+        calls.clear()
         got = find_branch(nl, 1.0, brackets, 1000, swept)
-        assert lanes == (fresh[1:] if len(covered) == len(brackets) else fresh)
+        assert calls == (fresh[1:] if len(covered) == len(brackets) else fresh)
         for g, w in zip(got, want, strict=True):
             assert g.slope == w.slope and g.endpoint == w.endpoint
             assert g.blown_up == w.blown_up
             assert np.array_equal(g.values, w.values)
             assert np.array_equal(g.derivatives, w.derivatives)
+
+
+def _recorded_shots(nl, slopes, steps):
+    """(slope, endpoint, blown_up, values, derivatives) of every slope from one
+    recorded sweep of all `steps`, as the oracle once built its ShotResults."""
+    ends, blown, us, ps = oracle._rk4_sweep(nl, 1.0 / steps, np.zeros_like(slopes), slopes,
+                                            steps, 1)
+    return [(s, ends[j], blown[j], us[:, j], ps[:, j]) for j, s in enumerate(slopes)]
+
+
+def _assert_same_shots(shots, want):
+    for shot, (slope, endpoint, blown_up, values, derivatives) in zip(shots, want, strict=True):
+        assert (shot.slope, shot.endpoint, shot.blown_up) == (slope, endpoint, blown_up)
+        assert np.array_equal(shot.values, values)
+        assert np.array_equal(shot.derivatives, derivatives)
+
+
+@pytest.mark.parametrize("steps, stride", [(1000, 25), (1009, 1009), (2048, 32), (4096, 64)])
+def test_replay_from_checkpoints_equals_one_recorded_sweep(nl, steps, stride):
+    # each lane's RK4 arithmetic is its own, so the segments between the states
+    # kept every `stride` steps, integrated again side by side, give the bits of
+    # one recorded sweep of the whole trajectory; a lane blown before a kept
+    # state starts frozen there.  1009 steps have no divisor near their square
+    # root and replay as one segment
+    assert oracle._stride(steps) == stride
+    slopes = np.random.default_rng(20261020).uniform(-60.0, 60.0, 12)
+    want = _recorded_shots(nl, slopes, steps)
+    ends, blown, starts = oracle._checkpointed(nl, 1.0, slopes, steps)
+    assert starts.shape == (12, steps // stride, 2)
+    assert np.array_equal(ends, [w[1] for w in want])
+    assert np.array_equal(blown, [w[2] for w in want])
+    cap = 10.0 * max(nl.a_plus, -nl.a_minus)
+    frozen_early = (np.abs(starts[:, -1, 0]) > cap) & ~(np.abs(starts[:, 0, 0]) > cap)
+    assert blown.any() and not blown.all() and (frozen_early.any() or stride == steps)
+    _assert_same_shots(oracle._replay(nl, 1.0, steps, starts), want)
+
+
+@pytest.mark.parametrize("steps", [1000, 2048, 4096])
+def test_find_branch_checkpoints_a_best_lane_taken_from_swept(nl, steps, monkeypatch):
+    # a bracket two roundings wide around the +42 root ends in round 1, so its
+    # best lane comes from `swept`, which keeps no states: it takes one
+    # checkpointing sweep before the replay.  The other bracket's best lane
+    # comes from a later round.  Every ShotResult has the bits of a recorded
+    # sweep of its slope, and of a run without `swept`
+    (root,) = find_branch(nl, 1.0, [(42.0, 42.41)], steps)
+    brackets = [(35.3, 35.4), (root.slope - np.spacing(root.slope),
+                               root.slope + np.spacing(root.slope))]
+    lanes = oracle.fan_slopes(brackets).ravel()
+    swept = (lanes, *sweep(nl, 1.0, lanes, steps))
+    want = find_branch(nl, 1.0, brackets, steps)
+    calls = _count_integrations(monkeypatch)
+    got = find_branch(nl, 1.0, brackets, steps, swept)
+    stride = oracle._stride(steps)
+    assert calls[-2:] == [(1, steps, stride), (2 * steps // stride, stride, 1)]
+    _assert_same_shots(got, _recorded_shots(nl, np.array([w.slope for w in want]), steps))
+    _assert_same_shots(got, [(w.slope, w.endpoint, w.blown_up, w.values, w.derivatives)
+                             for w in want])
 
 
 def test_find_branch_keeps_the_root_when_the_window_misses_it(nl, monkeypatch):
