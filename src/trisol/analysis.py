@@ -167,8 +167,9 @@ def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
 
     Distinctness asks all pairwise sup distances among the four points to
     exceed 1e-3 times the largest amplitude; the Morse comparison asks
-    index(star) != index(0) and is refused when k < 2 and marked
-    inconclusive when either index is degenerate.  That the index at zero
+    index(star) == 1 != index(0), since a nondegenerate mountain-pass point has
+    index 1 (Hofer 1985), and is refused when k < 2 and marked inconclusive
+    when either index is degenerate.  That the index at zero
     matches the claimed k is condition_g's check, not repeated here.
     """
     if model.mode is not TruncationMode.FULL:
@@ -229,10 +230,12 @@ def assemble_report(model: EnergyModel, condition_g: ConditionGReport,
         morse_comparison = "inconclusive"
         notes.append("Morse comparison inconclusive: degenerate eigenvalue "
                      "within tolerance of zero")
-    elif star.morse_index != trivial.morse_index:
+    elif star.morse_index == 1 != trivial.morse_index:
         morse_comparison = "ok"
     else:
         morse_comparison = "failed"
+        notes.append(f"Morse comparison failed: u* has index {star.morse_index}, the "
+                     f"origin {trivial.morse_index}; a mountain-pass point has index 1")
     flags["morse_comparison"] = morse_comparison == "ok"
 
     return SolveReport(domain=spec, condition_g=condition_g, trivial=trivial,

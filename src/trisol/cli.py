@@ -26,7 +26,7 @@ from .grid import DomainSpec, Field
 from .mountainpass import MPOptions
 from .nonlinearity import MIN_VALIDATE_SAMPLES, Nonlinearity, validate_condition_g
 from .oracle import (MAX_RK4_STEPS, MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, fan_slopes,
-                     find_branch, scan, sign_change_brackets, sweep)
+                     find_branch, sign_change_brackets, sweep)
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
 from .spectrum import MIN_EIGEN_COUNT, eigenvalue_table
@@ -320,7 +320,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     # which `find_branch` takes when `steps` leaves every bracket in place; an
     # edge that then touches a lane not integrated again has moved further (or
     # into the range past an end lane), and every lane is scanned at `steps`
-    endpoints, blown = scan(nl, length, slopes, steps)
+    endpoints, blown = sweep(nl, length, slopes, max(256, steps // 16))
     near = np.union1d(np.clip(_scan_edges(endpoints, blown)[:, None] + np.arange(-1, 3), 0,
                               slopes.size - 1), [0, slopes.size - 1])
     fans = fan_slopes(sign_change_brackets(slopes, endpoints, blown))

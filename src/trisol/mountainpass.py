@@ -190,7 +190,11 @@ def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
     for name, point in (("u_minus", u_minus), ("u_plus", u_plus)):
         res = float(np.max(np.abs(model.residual_values(point.u.values))))
         bound = max(tol, point.residual)
-        if not point.converged or res > bound:
+        if not point.converged:
+            raise ValueError(f"{name} is not a converged critical point: its stage stopped "
+                             f"after {point.iterations} iterations at residual "
+                             f"{point.residual:.3e} without converging")
+        if res > bound:
             raise ValueError(f"{name} is not a converged critical point "
                              f"(residual {res:.3e} > {bound:.3e})")
         if model.phi_values(point.u.values) >= 0.0:

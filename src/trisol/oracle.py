@@ -148,17 +148,10 @@ def shoot(nl: Nonlinearity, length: float, slope: float, steps: int) -> ShotResu
 
 def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
           steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint map over an array of slopes; returns (endpoints, blown_mask)."""
-    _check_steps(steps)
+    """Endpoint map over an array of slopes at any step count; returns (endpoints, blown)."""
+    if steps < 1:
+        raise ValueError(f"use at least 1 RK4 step, got {steps}")
     return _rk4_sweep(nl, length / steps, np.zeros_like(slopes), slopes, steps, 0)[:2]
-
-
-def scan(nl: Nonlinearity, length: float, slopes: np.ndarray,
-         steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """`sweep` at a sixteenth of `steps`, at least 256: it places sign changes and
-    blow-ups to within about a lane, for a caller that integrates those again."""
-    coarse = max(256, steps // 16)
-    return _rk4_sweep(nl, length / coarse, np.zeros_like(slopes), slopes, coarse, 0)[:2]
 
 
 def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,

@@ -12,6 +12,7 @@ from trisol.grid import (DomainSpec, Field, SingularPivotError, count_below,
                          neg_laplacian_values)
 from trisol.nonlinearity import (Nonlinearity, TruncationMode,
                                  validate_condition_g)
+from trisol.pipeline import run_pipeline
 from trisol.presets import cubic_nonlinearity
 from trisol.spectrum import eigenpairs, sandwich_index
 
@@ -419,6 +420,27 @@ def test_assemble_report_marks_a_degenerate_comparison_inconclusive(p1, p1_repor
     assert not report.flags["morse_comparison"]
     assert "Morse comparison inconclusive: degenerate eigenvalue within tolerance of zero" \
         in report.notes
+
+
+@pytest.mark.parametrize("counts, index, comparison", [
+    ((3, 63), 2, "failed"), ((63, 3), 1, "ok")], ids=["3x63", "63x3"])
+def test_morse_comparison_certifies_only_an_index_1_saddle(counts, index, comparison):
+    # the same discrete problem on a grid and its transpose: on 3 x 63 the
+    # path converges to a saddle of index 2, which differs from the origin's
+    # 3 but is no mountain-pass point; on 63 x 3 it finds the index-1 saddle
+    spec = DomainSpec((1.0, 1.0), counts)
+    nl = cubic_nonlinearity(spec, 60.0)
+    report = run_pipeline(spec, nl)
+    assert [p.morse_index for p in report.points] == [0, 0, index, 3]
+    assert not any(p.morse_degenerate for p in report.points)
+    dense = _dense_eigenvalues(spec, nl.gprime(report.star.u.values))
+    assert np.count_nonzero(dense < 0.0) == index
+    assert report.morse_comparison == comparison
+    assert report.all_ok == report.flags["morse_comparison"] == (comparison == "ok")
+    failed = [n for n in report.notes if n.startswith("Morse comparison failed")]
+    assert failed == ([] if index == 1 else [
+        "Morse comparison failed: u* has index 2, the origin 3; "
+        "a mountain-pass point has index 1"])
 
 
 def test_classical_equivalence_flag(p1_report):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,26 @@ def test_rejects_unconverged_endpoints(solved):
     loose = minimize(plus_model,
                      initial_guess(plus_model, eigenpairs(spec, 1)[0]),
                      DescentOptions(max_iters=2))
-    with pytest.raises(ValueError, match="not a converged"):
+    # the descent stopped early: the message names its iterations and its
+    # residual, not an inequality against a bound that this residual sets
+    assert not loose.converged and loose.iterations == 2
+    with pytest.raises(ValueError, match=re.escape(
+            "u_plus is not a converged critical point: its stage stopped after 2 "
+            f"iterations at residual {loose.residual:.3e} without converging")):
         find_mountain_pass(full_model, minus, loose)
+
+
+def test_rejects_a_converged_endpoint_whose_residual_exceeds_the_bound(solved):
+    # a point marked converged whose field is not critical fails on its residual
+    spec, nl, full_model, minus, plus = solved
+    half = CriticalPoint(u=Field(spec, 0.5 * plus.u.values), energy=0.0, residual=0.0,
+                         classification=Classification.POSITIVE_MIN, converged=True)
+    res = float(np.max(np.abs(full_model.residual_values(half.u.values))))
+    bound = MPOptions().grad_tol * nl.scale
+    assert res > bound
+    with pytest.raises(ValueError, match=re.escape(
+            f"u_plus is not a converged critical point (residual {res:.3e} > {bound:.3e})")):
+        find_mountain_pass(full_model, minus, half)
 
 
 def test_collapse_detection_fires(solved):

@@ -384,5 +384,13 @@ def test_values_at_rejects_incompatible_steps(nl):
 
 
 def test_sweep_checks_steps(nl):
+    # the raw endpoint map takes any step count from 1 up; the floor holds
+    # only for the passes whose results are reported
+    slopes, below = np.linspace(-60.0, 60.0, 301), oracle.MIN_RK4_STEPS - 1
+    with pytest.raises(ValueError, match="at least 1 RK4 step"):
+        sweep(nl, 1.0, slopes, 0)
+    assert sweep(nl, 1.0, slopes, below)[0].shape == slopes.shape
     with pytest.raises(ValueError, match=f"at least {oracle.MIN_RK4_STEPS} RK4 steps"):
-        sweep(nl, 1.0, np.linspace(-60.0, 60.0, 301), oracle.MIN_RK4_STEPS - 1)
+        find_branch(nl, 1.0, [(42.0, 42.41)], below)
+    with pytest.raises(ValueError, match=f"at least {oracle.MIN_RK4_STEPS} RK4 steps"):
+        shoot(nl, 1.0, 1.0, below)
