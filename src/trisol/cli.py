@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import itertools
 import json
 import sys
@@ -210,14 +211,19 @@ def _csv_nodes(spec: DomainSpec):
                                for axis, L in zip(spec.axes(), spec.lengths)))
 
 
+@functools.lru_cache(maxsize=1)
+def _csv_coordinates(spec: DomainSpec) -> list[str]:
+    """Every row's coordinate columns, formatted once for a solve's four files."""
+    return [("%.17g," * spec.ndim) % point for point in _csv_nodes(spec)]
+
+
 def write_field_csv(path: Path, spec: DomainSpec, u: Field) -> None:
     """Write a field with boundary rows included and u = 0 there, one row
     per node with the last axis varying fastest."""
-    row = "%.17g," * spec.ndim + "%.17g\n"
     with open(path, "w") as fh:
         fh.write(",".join(_csv_header(spec)) + "\n")
-        for point, val in zip(_csv_nodes(spec), np.pad(u.reshaped(), 1).ravel()):
-            fh.write(row % (*point, val))
+        fh.writelines(point + "%.17g\n" % val for point, val in
+                      zip(_csv_coordinates(spec), np.pad(u.reshaped(), 1).ravel().tolist()))
 
 
 def read_field_csv(path: Path, spec: DomainSpec) -> Field:

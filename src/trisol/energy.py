@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import (DomainSpec, Field, _check_same_domain,
                    h1_seminorm_sq_values, inner_product_values,
-                   neg_laplacian_values, solve_poisson_values)
+                   neg_laplacian_values, row_blocks, solve_poisson_values)
 from .nonlinearity import (Nonlinearity, TruncationMode, antiderivative,
                            truncate, truncation_increments)
 
@@ -33,16 +33,24 @@ class EnergyModel:
         return self.phi_rows(values)[0]
 
     def phi_rows(self, rows: np.ndarray) -> np.ndarray:
-        """phi of every row of a (m, size) matrix in one vectorized sweep."""
+        """phi of every row of a (m, size) matrix, vectorized over row blocks."""
         rows = np.atleast_2d(rows)
-        nonlin = antiderivative(self.nl, self.mode, rows.ravel())
-        nonlin = nonlin.reshape(rows.shape).sum(axis=1)
-        return 0.5 * h1_seminorm_sq_values(self.domain, rows) \
-            - self.domain.cell_volume * nonlin
+        out = np.empty(len(rows))
+        for b in row_blocks(*rows.shape):
+            nonlin = antiderivative(self.nl, self.mode, rows[b].ravel()).reshape(rows[b].shape)
+            out[b] = 0.5 * h1_seminorm_sq_values(self.domain, rows[b]) \
+                - self.domain.cell_volume * nonlin.sum(axis=1)
+        return out
 
     def residual_values(self, values: np.ndarray) -> np.ndarray:
         return neg_laplacian_values(self.domain, values) \
             - truncate(self.nl, self.mode, values)
+
+    def linearized_residual_values(self, values: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """-lap step - g'(values) step, the residual's derivative, g' zero where g is truncated."""
+        lo, hi = self.nl.support(self.mode)
+        gprime = np.where((values >= lo) & (values <= hi), self.nl.gprime(values), 0.0)
+        return neg_laplacian_values(self.domain, step) - gprime * step
 
     def preconditioned_values(self, values: np.ndarray) -> np.ndarray:
         w = solve_poisson_values(self.domain, truncate(self.nl, self.mode, values))

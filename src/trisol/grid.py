@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 QUADRATURE_KINDS = ("integral", "l2_norm", "sup_norm", "h1_seminorm")
+ROW_BLOCK = 2 ** 14  # float64 values per row block: 128 KiB, glibc's default mmap threshold
 
 
 class DomainMismatchError(ValueError):
@@ -202,6 +203,13 @@ def h1_seminorm_sq_values(domain: DomainSpec, values: np.ndarray) -> float | np.
     if domain.ndim == 1:
         return sums[0] / domain.spacings[0]
     return domain.cell_volume * sum(s / (h * h) for s, h in zip(sums, domain.spacings))
+
+
+def row_blocks(rows: int, size: int) -> list[slice]:
+    """Consecutive slices over range(rows) of at most ROW_BLOCK values (or one row),
+    so their temporaries reuse heap memory; whole-stack ones are mapped afresh per call."""
+    step = max(1, ROW_BLOCK // size)
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def quadrature(domain: DomainSpec, u: Field, kind: str) -> float:

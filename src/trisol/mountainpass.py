@@ -6,10 +6,11 @@ A pure descent step would slide it off the ridge, so its step reflects the
 along-path component of the preconditioned direction (descend transversally,
 climb along the path), stays within the node's stretch of the path and is
 accepted on residual decrease, falling back to the descent's Armijo step far
-from any saddle.  As in the simplified string method (E, Ren & Vanden-Eijnden
-2007), the path is re-equidistributed by H1 arclength, the maximum pinned,
-only when the maximum moves to another node or on every RESPACE_EVERY-th
-step; otherwise only the moved node's energy is recomputed.
+from any saddle, sooner where the residual's slope shows no small step passes.
+As in the simplified string method (E, Ren & Vanden-Eijnden 2007), the path
+is re-equidistributed by H1 arclength, the maximum pinned, only when the
+maximum moves to another node or on every RESPACE_EVERY-th step; otherwise
+only the moved node's energy is recomputed.  Path work runs in row blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .analysis import Classification, CriticalPoint
 from .descent import DescentOptions, _armijo_step
 from .energy import EnergyModel
-from .grid import Field, h1_seminorm_sq_values, inner_product_values
+from .grid import Field, h1_seminorm_sq_values, inner_product_values, row_blocks
 from .nonlinearity import TruncationMode
 from .spectrum import eigenpairs
 
@@ -62,11 +63,14 @@ class PathState:
     max_index: int
 
 
-def _redistribute(domain, nodes, pin):
-    """Re-equidistribute by H1 arclength on each side of the pinned node."""
-    out = nodes.copy()
+def _redistribute(domain, nodes, pin, out):
+    """Re-equidistribute by H1 arclength on each side of the pinned node,
+    into out, a stack apart from nodes, which is returned."""
+    out[...] = nodes
     last = nodes.shape[0] - 1
-    seg = np.sqrt(h1_seminorm_sq_values(domain, np.diff(nodes, axis=0)))
+    seg = np.empty(last)
+    for b in row_blocks(last, domain.size):
+        seg[b] = np.sqrt(h1_seminorm_sq_values(domain, nodes[b.start + 1:b.stop + 1] - nodes[b]))
     for lo, hi in ((0, pin), (pin, last)):
         if hi - lo < 2:
             continue
@@ -79,7 +83,9 @@ def _redistribute(domain, nodes, pin):
         length = cum[k + 1] - cum[k]
         theta = np.divide(targets - cum[k], length, out=np.zeros_like(targets),
                           where=length > 0)
-        out[lo + 1:hi] = nodes[lo + k] + theta[:, None] * (nodes[lo + k + 1] - nodes[lo + k])
+        for b in row_blocks(len(k), domain.size):
+            start, end = nodes[lo + k[b]], nodes[lo + k[b] + 1]
+            out[lo + 1 + b.start:lo + 1 + b.stop] = start + theta[b, None] * (end - start)
     return out
 
 
@@ -119,13 +125,22 @@ def _descend_max_node(model, u, residual, opts, tangent):
         reflected = _h1_reflection(spec, residual, direction, tangent, tau_sq)
         res_norm = np.sqrt(inner_product_values(spec, residual, residual))
         step = min(opts.initial_step, 0.5 * np.sqrt(tau_sq / -slope))
+        tries = None  # halvings still allowed, set when the first try fails
         # useful reflected steps are O(1); below 1e-8 let the plain step act
-        while step >= 1e-8:
+        while step >= 1e-8 and tries != 0:
             candidate = u + step * reflected
             res_new = model.residual_values(candidate)
             if (np.sqrt(inner_product_values(spec, res_new, res_new))
                     <= (1.0 - opts.armijo_c * step) * res_norm):
                 return candidate
+            if tries is None:
+                # unless the residual norm falls along the step, h^d <res, J r> <
+                # -c |res|^2, no small step passes the test above: 3 halvings at most
+                jr = model.linearized_residual_values(u, reflected)
+                tries = np.inf if inner_product_values(spec, residual, jr) \
+                    < -opts.armijo_c * res_norm ** 2 else 3
+            else:
+                tries -= 1
             step *= opts.backtrack_factor
 
     step, _ = _armijo_step(model, u, residual, direction, slope, opts)
@@ -136,7 +151,7 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation, tol):
     spec = model.domain
     nodes = _initial_path(model, u_minus, u_plus, opts, perturbation)
     energies = model.phi_rows(nodes)
-    last, pinned = opts.path_count, None
+    last, pinned, spare = opts.path_count, None, np.empty_like(nodes)
     for it in range(opts.max_iters + 1):
         jmax = 1 + int(np.argmax(energies[1:-1]))
         u = nodes[jmax]
@@ -164,7 +179,7 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation, tol):
         if jmax != pinned or (it + 1) % RESPACE_EVERY == 0:
             # the endpoints keep their bits and energies; so does the pinned
             # peak, but it has usually just moved and is evaluated again
-            nodes, pinned = _redistribute(spec, nodes, jmax), jmax
+            nodes, spare, pinned = _redistribute(spec, nodes, jmax, spare), nodes, jmax
             energies[1:-1] = model.phi_rows(nodes[1:-1])
         elif moved is not None:
             energies[jmax] = model.phi_rows(moved)[0]

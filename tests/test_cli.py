@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -159,6 +160,22 @@ def test_field_csv_roundtrip_1d(tmp_path):
     assert len(lines) == 34          # header + boundary + 31 interior + boundary
     back = read_field_csv(path, spec)
     assert np.array_equal(back.values, u.values)
+
+
+def test_field_csv_rows_are_formatted_per_node_across_grids(tmp_path):
+    # coordinates are formatted once per grid and reused; a write on another
+    # grid in between, even one with the same node counts, must not leak its
+    # coordinates into the next file
+    rng = np.random.default_rng(79)
+    path = tmp_path / "u.csv"
+    for spec in (DomainSpec.rectangle(1.0, 2.0, 7, 9), DomainSpec.rectangle(1.0, 0.6, 7, 9),
+                 DomainSpec.interval(1.0, 31), DomainSpec.rectangle(1.0, 2.0, 7, 9)):
+        u = Field(spec, rng.standard_normal(spec.size))
+        write_field_csv(path, spec, u)
+        axes = [np.concatenate(([0.0], a, [L])) for a, L in zip(spec.axes(), spec.lengths)]
+        rows = [("%.17g," * spec.ndim + "%.17g\n") % (*point, val) for point, val in
+                zip(itertools.product(*axes), np.pad(u.reshaped(), 1).ravel())]
+        assert path.read_text() == ",".join(["x", "y"][:spec.ndim] + ["u"]) + "\n" + "".join(rows)
 
 
 def test_field_csv_roundtrip_2d(tmp_path):

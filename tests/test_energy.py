@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from trisol.energy import EnergyModel
-from trisol.grid import (DomainSpec, Field, apply_neg_laplacian, inner_product,
-                         quadrature, solve_poisson)
+from trisol.grid import (DomainSpec, Field, apply_neg_laplacian, h1_seminorm_sq_values,
+                         inner_product, quadrature, row_blocks, solve_poisson)
 from trisol.nonlinearity import TruncationMode, antiderivative
 from trisol.presets import cubic_nonlinearity
 from trisol.spectrum import eigenpairs
@@ -130,13 +130,24 @@ def test_phi_increment_matches_difference(setup):
 
 
 def test_phi_rows_matches_scalar_phi(setup):
+    # the 22-row path stack on the 63 x 63 grid is summed in several row
+    # blocks; every row still equals its single-row value and the
+    # whole-stack formula bit for bit
     spec, nl, models = setup
-    model = models[TruncationMode.FULL]
+    square = DomainSpec.rectangle(1.0, 1.0, 63, 63)
+    cases = ((models[TruncationMode.FULL], 7),
+             (EnergyModel(square, cubic_nonlinearity(square), TruncationMode.FULL), 22))
     rng = np.random.default_rng(67)
-    rows = rng.uniform(-8.0, 8.0, (7, spec.size))
-    batched = model.phi_rows(rows)
-    for row, value in zip(rows, batched):
-        assert value == model.phi_values(row)
+    for model, count in cases:
+        rows = rng.uniform(-8.0, 8.0, (count, model.domain.size))
+        batched = model.phi_rows(rows)
+        for row, value in zip(rows, batched):
+            assert value == model.phi_values(row)
+        nonlin = antiderivative(model.nl, model.mode, rows.ravel()).reshape(rows.shape)
+        whole = (0.5 * h1_seminorm_sq_values(model.domain, rows)
+                 - model.domain.cell_volume * nonlin.sum(axis=1))
+        assert np.array_equal(batched, whole)
+    assert len(row_blocks(*rows.shape)) > 1
 
 
 def test_domain_mismatch(setup):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from trisol.grid import (DomainMismatchError, DomainSpec, Field,
+from trisol.grid import (ROW_BLOCK, DomainMismatchError, DomainSpec, Field,
                          apply_neg_laplacian, h1_seminorm_sq_values,
-                         inner_product, quadrature, solve_poisson,
+                         inner_product, quadrature, row_blocks, solve_poisson,
                          solve_poisson_values)
 
 
@@ -203,6 +203,19 @@ def _h1_reference(spec, values):
     dx = np.diff(v, axis=0)[:, 1:-1]
     dy = np.diff(v, axis=1)[1:-1, :]
     return spec.cell_volume * (np.sum(dx * dx) / (hx * hx) + np.sum(dy * dy) / (hy * hy))
+
+
+@pytest.mark.parametrize("size", [127, 511, 745, 3969, 65025])
+@pytest.mark.parametrize("rows", [1, 22, 100])
+def test_row_blocks_cover_every_row_once_within_the_budget(rows, size):
+    blocks = row_blocks(rows, size)
+    covered = np.concatenate([np.arange(rows)[b] for b in blocks])
+    assert np.array_equal(covered, np.arange(rows))
+    # a row longer than the budget is a block of its own
+    assert all((b.stop - b.start) * size <= max(ROW_BLOCK, size) for b in blocks)
+    assert all(b.stop > b.start for b in blocks)
+    if size in (127, 511) and rows <= 22:
+        assert len(blocks) == 1  # the path of p1 and p1-511 runs as one block
 
 
 @pytest.mark.parametrize("spec", [interval(31), DomainSpec.rectangle(1.0, 1.0, 15, 15),

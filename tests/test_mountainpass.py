@@ -1,4 +1,6 @@
+import platform
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from trisol.analysis import Classification, CriticalPoint, morse_index
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
 from trisol.grid import (DomainSpec, Field, h1_seminorm_sq_values, inner_product_values,
-                         neg_laplacian_values)
+                         neg_laplacian_values, row_blocks)
 from trisol.mountainpass import (RESPACE_EVERY, MPOptions, PathCollapseError,
                                  _h1_reflection, _initial_path, _redistribute,
                                  find_mountain_pass)
@@ -255,16 +257,47 @@ def _redistribute_node_by_node(domain, nodes, pin):
 
 @pytest.mark.parametrize("pin", [1, 11, 20])
 def test_redistribute_equals_node_by_node_loop(pin):
-    spec = DomainSpec.rectangle(1.0, 2.0, 7, 5)
+    # the 63 x 63 path is re-spaced in several row blocks, the 7 x 5 one in one
     rng = np.random.default_rng(pin)
-    for _ in range(5):
-        nodes = rng.standard_normal((22, spec.size))
-        nodes[6] = nodes[5]  # one zero-length segment
-        with np.errstate(divide="raise", invalid="raise"):
-            vectorized = _redistribute(spec, nodes, pin)
-            looped = _redistribute_node_by_node(spec, nodes, pin)
-        assert np.array_equal(vectorized, looped)
-        assert np.array_equal(vectorized[[0, pin, 21]], nodes[[0, pin, 21]])
+    for spec, draws in ((DomainSpec.rectangle(1.0, 2.0, 7, 5), 5),
+                        (DomainSpec.rectangle(1.0, 1.0, 63, 63), 2)):
+        for _ in range(draws):
+            nodes = rng.standard_normal((22, spec.size))
+            nodes[6] = nodes[5]  # one zero-length segment
+            with np.errstate(divide="raise", invalid="raise"):
+                vectorized = _redistribute(spec, nodes, pin, np.empty_like(nodes))
+                looped = _redistribute_node_by_node(spec, nodes, pin)
+            assert np.array_equal(vectorized, looped)
+            assert np.array_equal(vectorized[[0, pin, 21]], nodes[[0, pin, 21]])
+    assert len(row_blocks(21, spec.size)) > 1
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's mmap threshold")
+def test_path_stack_work_does_not_fault_pages_in_afresh():
+    # whole-stack temporaries above glibc's mmap threshold are mapped and
+    # faulted in anew on every call, hundreds of minor faults per call on
+    # p2's grid; row blocks reuse heap memory instead
+    import resource
+
+    spec = DomainSpec.rectangle(1.0, 1.0, 63, 63)
+    model = EnergyModel(spec, cubic_nonlinearity(spec), TruncationMode.FULL)
+    nodes = np.random.default_rng(0).standard_normal((22, spec.size))
+    out = np.empty_like(nodes)
+    # as in a solve, whose first path is built from whole-stack temporaries:
+    # releasing one raises glibc's dynamic mmap and trim thresholds, without
+    # which even block-sized temporaries are trimmed off the heap after a call
+    nodes.copy()
+
+    def work():
+        model.phi_rows(nodes[1:-1])
+        _redistribute(spec, nodes, 11, out)
+
+    work()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        work()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def test_redistribute_keeps_a_zero_length_side_and_respaces_the_other():
@@ -277,7 +310,7 @@ def test_redistribute_keeps_a_zero_length_side_and_respaces_the_other():
     pin, last = 8, 21
     ts = np.concatenate((np.zeros(pin), (np.arange(last - pin + 1) / (last - pin)) ** 2))
     nodes = start + np.outer(ts, direction)
-    out = _redistribute(spec, nodes, pin)
+    out = _redistribute(spec, nodes, pin, np.empty_like(nodes))
     assert np.array_equal(out[:pin + 1], nodes[:pin + 1])
     even = start + np.outer(np.arange(last - pin + 1) / (last - pin), direction)
     assert np.allclose(out[pin:], even, rtol=0.0, atol=1e-12)
@@ -321,6 +354,37 @@ def test_path_search_evaluates_energy_once_per_iteration(p1, monkeypatch):
     assert events.count("value") == 3
 
 
+def test_a_reflected_step_that_cannot_pass_is_halved_three_more_times(p1, monkeypatch):
+    # where the residual's slope along the reflected step is not below
+    # -c |res|^2 at the first failed try, no small step passes; those steps
+    # used to halve down to 1e-8 (25-27 tries on p1) before the plain step
+    steps = []  # per path step: [reflected tries, took the plain step]
+    descend, residual_values = mountainpass._descend_max_node, EnergyModel.residual_values
+    armijo = mountainpass._armijo_step
+
+    def counted_descend(*args):
+        steps.append([0, False])
+        return descend(*args)
+
+    def counted_residual(self, values):
+        if steps:
+            steps[-1][0] += 1
+        return residual_values(self, values)
+
+    def counted_armijo(*args):
+        steps[-1][1] = True
+        return armijo(*args)
+
+    monkeypatch.setattr(mountainpass, "_descend_max_node", counted_descend)
+    monkeypatch.setattr(EnergyModel, "residual_values", counted_residual)
+    monkeypatch.setattr(mountainpass, "_armijo_step", counted_armijo)
+    star = find_mountain_pass(p1["models"][TruncationMode.FULL], p1["minus"], p1["plus"])
+    # each step's count includes the loop's residual at the next iteration
+    plain = [count - 1 for count, fell_back in steps if fell_back]
+    assert star.iterations == p1["star"].iterations == len(steps)
+    assert plain and set(plain) == {4}
+
+
 def _path_history(model, minus, plus, monkeypatch):
     """Copies of (nodes, energies, max_index) at every callback, and the
     iterations after whose step the path was re-spaced."""
@@ -342,13 +406,17 @@ def _path_history(model, minus, plus, monkeypatch):
     return history, respaced
 
 
-@pytest.mark.parametrize("case", ["p1", "rectangle"])
+@pytest.mark.parametrize("case", ["p1", "rectangle", "square"])
 def test_path_respacing_schedule(p1, case, monkeypatch):
     if case == "p1":
         model, minus, plus = p1["models"][TruncationMode.FULL], p1["minus"], p1["plus"]
-    else:
+    elif case == "rectangle":
         spec = DomainSpec.rectangle(1.0, 2.0, 23, 11)
         _, _, model, minus, plus = _minimizers(spec, cubic_nonlinearity(spec, 30.0))
+    else:  # p2's grid, whose path takes several row blocks
+        spec = DomainSpec.rectangle(1.0, 1.0, 63, 63)
+        _, _, model, minus, plus = _minimizers(spec, cubic_nonlinearity(spec, 60.0))
+        assert len(row_blocks(MPOptions().path_count + 1, spec.size)) > 1
     history, respaced = _path_history(model, minus, plus, monkeypatch)
     pinned = None
     for it, ((nodes, _, jmax), (after, _, _)) in enumerate(zip(history, history[1:])):
