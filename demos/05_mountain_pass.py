@@ -29,7 +29,7 @@ print(f"endpoints: phi(u-) = {minus.energy:+.4f}, phi(u+) = {plus.energy:+.4f}")
 
 def trail(info):
     if info["iteration"] % 50 == 0:
-        energies = info["state"].energies
+        energies = info["energies"]
         print(f"  iter {info['iteration']:4d}   path max {np.max(energies):+10.4f}"
               f"   residual at max {info['residual']:.3e}")
 

@@ -17,7 +17,7 @@ from .descent import DescentOptions, initial_guess, minimize
 from .energy import EnergyModel
 from .grid import (DomainMismatchError, DomainSpec, Field, apply_neg_laplacian,
                    inner_product, quadrature, solve_poisson)
-from .mountainpass import MPOptions, PathCollapseError, PathState, find_mountain_pass
+from .mountainpass import MPOptions, PathCollapseError, find_mountain_pass
 from .nonlinearity import (ConditionGReport, Nonlinearity, TruncationMode,
                            antiderivative, preset_corollary, truncate,
                            validate_condition_g)
@@ -30,7 +30,7 @@ __all__ = [
     "BoundsCheck", "Classification", "ConditionGReport", "CriticalPoint",
     "DescentOptions", "DomainMismatchError", "DomainSpec", "Eigenpair",
     "EnergyModel", "Field", "MorseIndexResult", "MPOptions",
-    "Nonlinearity", "PathCollapseError", "PathState", "PositivityProfile",
+    "Nonlinearity", "PathCollapseError", "PositivityProfile",
     "ShotResult", "SolveReport", "TruncationMode",
     "antiderivative", "apply_neg_laplacian", "assemble_report",
     "build_preset", "check_bounds", "cubic_nonlinearity", "eigenpairs",

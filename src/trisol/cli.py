@@ -93,7 +93,10 @@ def _domain_settings(spec: DomainSpec) -> dict:
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment."""
     entries: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -383,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         handler = {"solve": cmd_solve, "eigen": cmd_eigen,
                    "validate": cmd_validate, "oracle": cmd_oracle}[args.command]
         return handler(cfg)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, MemoryError) as exc:

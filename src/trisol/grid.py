@@ -273,9 +273,9 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     the block LDL^T factorization of -lap - diag(w) - s steps along the
     longer axis, with blocks T_i as wide as the shorter one, and its pivots
     D_1 = T_1, D_{i+1} = T_{i+1} - h^-4 D_i^{-1} together have as many
-    negative eigenvalues as -lap - diag(w) - s.  In 1D the pivots are
-    scalars and this is the Sturm count.  A 2D step whose pivots pass a
-    batched Cholesky test of D_i - width eps |D_i|_inf I has none negative;
+    negative eigenvalues as -lap - diag(w) - s.  An interval is one node
+    wide, with 1 x 1 pivots (the Sturm count).  Pivots that pass a batched
+    Cholesky test of D_i - width eps |D_i|_inf I have none negative;
     otherwise a batched eigvalsh counts them.  Every step inverts D_i once.
     """
     for name, finite in (("weight row", np.isfinite(weights).all(axis=1)),
@@ -309,14 +309,6 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     negative = np.zeros(len(taken), dtype=int)
     schur = 0.0
     for step in range(grid.shape[1]):
-        if width == 1:  # scalar pivots, for which the guard below is pivot == 0
-            pivot = 2.0 / (h * h) - schur - taken[:, step, 0]
-            if np.any(pivot == 0.0):
-                raise SingularPivotError(
-                    f"pivot block {step} of the inertia count is singular to rounding")
-            negative += pivot < 0.0
-            schur = 1.0 / (h ** 4 * pivot)
-            continue
         pivot = block - schur - taken[:, step, :, None] * eye
         tau = guard * np.abs(pivot).sum(axis=2).max(axis=1)
         try:

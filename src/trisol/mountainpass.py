@@ -15,7 +15,7 @@ only the moved node's energy is recomputed.  Path work runs in row blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,16 +53,6 @@ class MPOptions(DescentOptions):
             raise ValueError(f"collapse_tol must be positive and finite, got {self.collapse_tol}")
 
 
-@dataclass
-class PathState:
-    """Snapshot of the path: node values (rows), energies, and the index of
-    the current maximum-energy node.  Endpoints never move."""
-
-    nodes: np.ndarray
-    energies: np.ndarray
-    max_index: int
-
-
 def _redistribute(domain, nodes, pin, out):
     """Re-equidistribute by H1 arclength on each side of the pinned node,
     into out, a stack apart from nodes, which is returned."""
@@ -89,10 +79,10 @@ def _redistribute(domain, nodes, pin, out):
     return out
 
 
-def _initial_path(model, u_minus, u_plus, opts, perturbation):
+def _initial_path(model, u_minus, u_plus, opts):
     spec = model.domain
     phi2 = eigenpairs(spec, 2)[1].phi
-    bump = (perturbation * model.nl.delta
+    bump = (opts.perturbation * model.nl.delta
             / float(np.max(np.abs(phi2.values)))) * phi2.values
     ts = np.linspace(0.0, 1.0, opts.path_count + 1)
     nodes = (np.outer(1.0 - ts, u_minus.values) + np.outer(ts, u_plus.values)
@@ -147,9 +137,9 @@ def _descend_max_node(model, u, residual, opts, tangent):
     return None if step is None else u + step * direction
 
 
-def _run_path_loop(model, u_minus, u_plus, opts, perturbation, tol):
+def _run_path_loop(model, u_minus, u_plus, opts, tol):
     spec = model.domain
-    nodes = _initial_path(model, u_minus, u_plus, opts, perturbation)
+    nodes = _initial_path(model, u_minus, u_plus, opts)
     energies = model.phi_rows(nodes)
     last, pinned, spare = opts.path_count, None, np.empty_like(nodes)
     for it in range(opts.max_iters + 1):
@@ -159,7 +149,7 @@ def _run_path_loop(model, u_minus, u_plus, opts, perturbation, tol):
         res_sup = float(np.max(np.abs(residual)))
         if opts.callback is not None:
             opts.callback({"iteration": it, "residual": res_sup,
-                           "state": PathState(nodes, energies, jmax)})
+                           "nodes": nodes, "energies": energies, "max_index": jmax})
         if not np.isfinite(energies[jmax] + res_sup):
             raise RuntimeError(f"path peak is not finite at path iteration {it} (energy "
                                f"{energies[jmax]:.3e}, residual {res_sup:.3e})")
@@ -216,11 +206,11 @@ def find_mountain_pass(model: EnergyModel, u_minus: CriticalPoint,
             raise ValueError(f"{name} must have negative energy")
 
     values, iterations, converged, residual = _run_path_loop(
-        model, u_minus.u, u_plus.u, opts, opts.perturbation, tol)
+        model, u_minus.u, u_plus.u, opts, tol)
     default = MPOptions.perturbation
     if converged and float(np.max(np.abs(values))) <= 1e-6 and opts.perturbation != default:
         values, iterations, converged, residual = _run_path_loop(
-            model, u_minus.u, u_plus.u, opts, default, tol)
+            model, u_minus.u, u_plus.u, replace(opts, perturbation=default), tol)
 
     return CriticalPoint(u=Field(model.domain, values), energy=model.phi_values(values),
                          residual=residual, classification=Classification.MOUNTAIN_PASS,

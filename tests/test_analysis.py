@@ -248,10 +248,11 @@ def test_morse_eigenvalues_on_small_grids_match_dense(grid, window, field):
 
 
 def test_morse_singular_pivot_raises():
-    # w_1 = 2/h^2 makes the first pivot 2/h^2 - w_1 - 0 exactly zero
+    # w_1 = 2/h^2 makes the first 1 x 1 pivot 2/h^2 - w_1 - 0 exactly zero,
+    # caught by the same eigvalsh guard as a singular rectangle block
     spec = DomainSpec.interval(1.0, 3)
     (h,) = spec.spacings
-    with pytest.raises(SingularPivotError):
+    with pytest.raises(SingularPivotError, match="pivot block 0"):
         count_below(spec, np.array([[2.0 / h**2, 0.0, 0.0]]), np.array([0.0]))
 
 

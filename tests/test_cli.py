@@ -265,6 +265,28 @@ def test_missing_config_file_is_exit_2(capsys):
     assert main(["eigen", "--config", "/nonexistent/run.cfg"]) == 2
 
 
+@pytest.mark.parametrize("named", ["config_is_a_directory", "out_is_a_file",
+                                   "out_is_under_a_file"])
+def test_os_error_on_a_named_path_is_exit_2(tmp_path, capsys, named):
+    # IsADirectoryError, FileExistsError and NotADirectoryError: each names
+    # a path the user gave, so each is a configuration error, not a traceback
+    (tmp_path / "file").write_text("")
+    argv = {"config_is_a_directory": ["eigen", "--config", str(tmp_path)],
+            "out_is_a_file": ["solve", "--out", str(tmp_path / "file")],
+            "out_is_under_a_file": ["solve", "--out", str(tmp_path / "file" / "out")]}[named]
+    assert main(argv + ["--preset", "p1-interval", "--n", "31"]) == 2
+    assert "configuration error: " in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ConfigError, match=f"{re.escape(str(cfg))}: not UTF-8"):
+        parse_config_file(str(cfg))
+    assert main(["eigen", "--config", str(cfg)]) == 2
+    assert "configuration error: " in capsys.readouterr().err
+
+
 def test_unknown_key_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("volume.flux = 3\n")

@@ -79,9 +79,9 @@ def _check_path_maximum_essentially_nonincreasing(spec, nl, full_model, minus, p
     fine_history = []
 
     def watch(info):
-        nodes = info["state"].nodes
+        nodes = info["nodes"]
         chords = 0.5 * (nodes[:-1] + nodes[1:])
-        fine_history.append(max(float(np.max(info["state"].energies)),
+        fine_history.append(max(float(np.max(info["energies"])),
                                 float(np.max(full_model.phi_rows(chords)))))
 
     star = find_mountain_pass(full_model, minus, plus, MPOptions(callback=watch))
@@ -396,9 +396,8 @@ def _path_history(model, minus, plus, monkeypatch):
         return original(*args)
 
     def watch(info):
-        state = info["state"]
         assert info["iteration"] == len(history)
-        history.append((state.nodes.copy(), state.energies.copy(), state.max_index))
+        history.append((info["nodes"].copy(), info["energies"].copy(), info["max_index"]))
 
     monkeypatch.setattr(mountainpass, "_redistribute", redistribute)
     star = find_mountain_pass(model, minus, plus, MPOptions(callback=watch))
@@ -441,8 +440,7 @@ def test_path_step_is_the_h1_reflection(preset):
     # preconditioned one across the tangent in a(x, y) = vol <x, A y>: the
     # along-path component flips sign and the H1 norm is kept
     spec, nl, full_model, minus, plus = _minimizers(*build_preset(preset))
-    opts = MPOptions()
-    nodes = _initial_path(full_model, minus.u, plus.u, opts, opts.perturbation)
+    nodes = _initial_path(full_model, minus.u, plus.u, MPOptions())
     j = 1 + int(np.argmax(full_model.phi_rows(nodes)[1:-1]))
     u, tangent = nodes[j], nodes[j + 1] - nodes[j - 1]
     residual = full_model.residual_values(u)
