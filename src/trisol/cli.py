@@ -199,7 +199,11 @@ class RunConfig:
             raise ConfigError(f"{prefix} options: {exc}") from exc
 
     def output_dir(self) -> Path:
-        return Path(self.settings["output.dir"])
+        """The output directory; one that is or lies under a non-directory is refused."""
+        out = Path(self.settings["output.dir"])
+        if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+            raise ConfigError(f"output directory {out} is, or lies under, a non-directory")
+        return out
 
 
 # -- serialization ---------------------------------------------------------
@@ -383,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = RunConfig.resolve(args.config, args.preset, args.n, args.out)
+        if args.command == "solve" or cfg.out_requested:
+            cfg.output_dir()  # refused before any work, made only after it
         handler = {"solve": cmd_solve, "eigen": cmd_eigen,
                    "validate": cmd_validate, "oracle": cmd_oracle}[args.command]
         return handler(cfg)

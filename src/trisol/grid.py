@@ -20,6 +20,7 @@ import numpy as np
 
 QUADRATURE_KINDS = ("integral", "l2_norm", "sup_norm", "h1_seminorm")
 ROW_BLOCK = 2 ** 14  # float64 values per row block: 128 KiB, glibc's default mmap threshold
+PIVOT_NODES = 32  # nodes per inertia-count pivot block, in whole grid lines: fewer LAPACK calls
 
 
 class DomainMismatchError(ValueError):
@@ -271,12 +272,14 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     constant row shifts the stencil's spectrum, which the symbol gives in
     closed form.  Every other row is counted by Sylvester's law of inertia:
     the block LDL^T factorization of -lap - diag(w) - s steps along the
-    longer axis, with blocks T_i as wide as the shorter one, and its pivots
-    D_1 = T_1, D_{i+1} = T_{i+1} - h^-4 D_i^{-1} together have as many
-    negative eigenvalues as -lap - diag(w) - s.  An interval is one node
-    wide, with 1 x 1 pivots (the Sturm count).  Pivots that pass a batched
-    Cholesky test of D_i - width eps |D_i|_inf I have none negative;
-    otherwise a batched eigvalsh counts them.  Every step inverts D_i once.
+    longer axis (an interval is one node wide) in blocks T_i of as many
+    whole grid lines as fit in PIVOT_NODES nodes, at least one, the last
+    maybe fewer.  Its pivots D_1 = T_1, D_{i+1} = T_{i+1} - h^-4 E_i, with
+    E_i the last line's corner of D_i^{-1} taken off T_{i+1}'s first line,
+    have as many negative eigenvalues as -lap - diag(w) - s.  Pivots of n
+    nodes that pass a batched Cholesky test of D_i - n eps |D_i|_inf I have
+    none negative; otherwise a batched eigvalsh counts them.  Every step
+    inverts D_i once.
     """
     for name, finite in (("weight row", np.isfinite(weights).all(axis=1)),
                          ("shift", np.isfinite(shifts))):
@@ -301,26 +304,31 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     else:
         (h, across) = domain.spacings
     width = grid.shape[2]
-    eye, guard = np.eye(width), width * np.finfo(float).eps
-    block = ((2.0 * eye - np.eye(width, k=1) - np.eye(width, k=-1)) / across ** 2
-             + 2.0 / (h * h) * eye)
+    lines, one = max(1, PIVOT_NODES // width), np.eye(width)
+    line = ((2.0 * one - np.eye(width, k=1) - np.eye(width, k=-1)) / across ** 2
+            + 2.0 / (h * h) * one)
+    block = (np.kron(np.eye(lines), line)
+             - np.kron(np.eye(lines, k=1) + np.eye(lines, k=-1), one) / (h * h))
+    eye = np.eye(len(block))
     # one row per (weight, shift) pair: the diagonal w + s taken off each block
-    taken = (grid[:, None] + shifts[:, None, None]).reshape((-1,) + grid.shape[1:])
+    taken = (grid[:, None] + shifts[:, None, None]).reshape(-1, grid.shape[1] * width)
     negative = np.zeros(len(taken), dtype=int)
-    schur = 0.0
-    for step in range(grid.shape[1]):
-        pivot = block - schur - taken[:, step, :, None] * eye
+    schur = np.zeros((len(taken),) + eye.shape)
+    for k, start in enumerate(range(0, taken.shape[1], len(eye))):
+        n = min(len(eye), taken.shape[1] - start)
+        pivot = block[:n, :n] - schur[:, :n, :n] - taken[:, start:start + n, None] * eye[:n, :n]
+        guard = n * np.finfo(float).eps
         tau = guard * np.abs(pivot).sum(axis=2).max(axis=1)
         try:
-            np.linalg.cholesky(pivot - tau[:, None, None] * eye)
+            np.linalg.cholesky(pivot - tau[:, None, None] * eye[:n, :n])
         except np.linalg.LinAlgError:
             vals = np.linalg.eigvalsh(pivot)
             size = np.abs(vals)
             if np.any(size.min(axis=1) <= guard * size.max(axis=1)):
                 raise SingularPivotError(
-                    f"pivot block {step} of the inertia count is singular to rounding")
+                    f"pivot block {k} of the inertia count is singular to rounding")
             negative += np.count_nonzero(vals < 0.0, axis=1)
-        schur = np.linalg.inv(pivot) / h ** 4
+        schur[:, :width, :width] = np.linalg.inv(pivot)[:, -width:, -width:] / h ** 4
     counts[~constant] = negative.reshape(len(grid), len(shifts))
     return counts[rows]
 

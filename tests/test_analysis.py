@@ -13,7 +13,7 @@ from trisol.grid import (DomainSpec, Field, SingularPivotError, count_below,
 from trisol.nonlinearity import (Nonlinearity, TruncationMode,
                                  validate_condition_g)
 from trisol.pipeline import run_pipeline
-from trisol.presets import cubic_nonlinearity
+from trisol.presets import build_preset, cubic_nonlinearity
 from trisol.spectrum import eigenpairs, sandwich_index
 
 RT60 = np.sqrt(60.0)
@@ -124,7 +124,7 @@ def test_morse_indices_of_the_three_solutions(p1):
 
 
 def test_morse_eigenvalues_match_dense_oracle(p1):
-    # the closed form at the origin and the Sturm count at the saddle, at
+    # the closed form at the origin and the block count at the saddle, at
     # every shift around the four smallest eigenvalues
     spec, nl = p1["spec"], p1["nl"]
     for u in (Field.zeros(spec), p1["star"].u):
@@ -248,24 +248,38 @@ def test_morse_eigenvalues_on_small_grids_match_dense(grid, window, field):
 
 
 def test_morse_singular_pivot_raises():
-    # w_1 = 2/h^2 makes the first 1 x 1 pivot 2/h^2 - w_1 - 0 exactly zero,
-    # caught by the same eigvalsh guard as a singular rectangle block
+    # the 3-node interval is one pivot block, and weights 2/h^2 at both ends
+    # leave it the kernel (1, 0, -1), caught by the eigvalsh guard
     spec = DomainSpec.interval(1.0, 3)
     (h,) = spec.spacings
     with pytest.raises(SingularPivotError, match="pivot block 0"):
-        count_below(spec, np.array([[2.0 / h**2, 0.0, 0.0]]), np.array([0.0]))
+        count_below(spec, np.array([[2.0 / h**2, 0.0, 2.0 / h**2]]), np.array([0.0]))
 
 
 def test_morse_singular_first_block_raises_through_eigh():
-    # on the 3 x 3 square every diagonal entry of T_1 is 4/h^2 = 64, so a
-    # first line of weight 64 leaves only the couplings: a singular T_1,
-    # which fails the Cholesky test and must be caught by the guard on the
-    # fallback's eigvalsh eigenvalues, before the step inverts it
+    # the 3 x 3 square is one pivot block with diagonal 4/h^2 = 64, so weight
+    # 64 off the centre leaves a kernel (+1 on the top and bottom edge
+    # midpoints, -1 on the left and right ones); the block fails the
+    # Cholesky test and must be caught by the guard on the fallback's
+    # eigvalsh eigenvalues, before the step inverts it
     spec = DomainSpec.rectangle(1.0, 1.0, 3, 3)
-    weights = np.zeros((1, spec.size))
-    weights[0, :3] = 64.0
+    weights = np.full((1, spec.size), 64.0)
+    weights[0, 4] = 0.0
     with pytest.raises(SingularPivotError, match="pivot block 0"):
         count_below(spec, weights, np.array([0.0]))
+
+
+@pytest.mark.parametrize("counts, weights", [((3,), [32.0, 0.0, 0.0]),
+                                             ((3, 3), [64.0] * 3 + [0.0] * 6)],
+                         ids=["interval3", "square3"])
+def test_count_below_counts_a_singular_first_line_inside_its_block(counts, weights):
+    # 2/h^2 = 32 on the interval's first node and 4/h^2 = 64 on the square's
+    # first line make that line singular on its own, but its pivot block is
+    # the whole grid, which is not, so the count is the dense one
+    spec = DomainSpec((1.0,) * len(counts), counts)
+    shifts = np.array([-1.0, 0.0, 1.0])
+    expected = np.count_nonzero(_dense_eigenvalues(spec, weights)[:, None] < shifts, axis=0)
+    assert np.array_equal(count_below(spec, np.array([weights]), shifts)[0], expected)
 
 
 @pytest.mark.parametrize("grid", ["interval7", "square5"])
@@ -322,6 +336,39 @@ def test_count_below_matches_dense_on_seeded_domains():
         expected = [np.count_nonzero(_dense_eigenvalues(spec, w)[:, None] < shifts, axis=0)
                     for w in weights]
         assert np.array_equal(count_below(spec, weights, shifts), expected), spec
+
+
+@pytest.mark.parametrize("lengths, counts", [
+    ((1.0,), (32,)), ((1.0,), (33,)), ((1.0,), (100,)), ((1.0,), (511,)),
+    ((1.0, 1.0), (3, 63)), ((1.0, 1.0), (63, 3)), ((2.0, 1.0), (31, 15))],
+    ids=["interval32", "interval33", "interval100", "interval511", "3x63", "63x3", "31x15"])
+def test_count_below_matches_dense_in_blocks_of_several_lines(lengths, counts):
+    # pivot blocks of PIVOT_NODES = 32 nodes: one whole block, a block and one
+    # node, three and a short fourth, fifteen and one of 31 nodes; ten lines
+    # of 3 nodes per block on the thin rectangles (either axis), two lines
+    # of 15 on the 2 x 1 rectangle at 31 x 15
+    spec = DomainSpec(lengths, counts)
+    weights = np.random.default_rng(20261020).uniform(-50.0, 3000.0, (3, spec.size))
+    shifts = np.array([-1.0, 0.0, 1.0])
+    expected = [np.count_nonzero(_dense_eigenvalues(spec, w)[:, None] < shifts, axis=0)
+                for w in weights]
+    assert np.array_equal(count_below(spec, weights, shifts), expected)
+
+
+@pytest.mark.parametrize("preset, n, steps", [("p1-interval", 511, 16), ("p2-square", None, 63)])
+def test_count_below_steps_in_blocks_of_several_lines(preset, n, steps, monkeypatch):
+    # deterministic guard against per-node steps: counting a solve's four
+    # points inverts one pivot block per step, 16 blocks of up to 32 nodes
+    # on the interval at 511 and one 63-node grid line per step on p2
+    spec, nl = build_preset(preset, n)
+    report = run_pipeline(spec, nl)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    model = EnergyModel(spec, nl, TruncationMode.FULL)
+    indices = [r.index for r in morse_index(model, [p.u for p in report.points])]
+    assert indices == [p.morse_index for p in report.points]
+    assert 0 < len(calls) <= steps
 
 
 def test_morse_work_count(p1, monkeypatch):

@@ -266,16 +266,31 @@ def test_missing_config_file_is_exit_2(capsys):
 
 
 @pytest.mark.parametrize("named", ["config_is_a_directory", "out_is_a_file",
-                                   "out_is_under_a_file"])
-def test_os_error_on_a_named_path_is_exit_2(tmp_path, capsys, named):
-    # IsADirectoryError, FileExistsError and NotADirectoryError: each names
-    # a path the user gave, so each is a configuration error, not a traceback
+                                   "out_is_under_a_file", "eigen_out_is_a_file",
+                                   "validate_out_is_under_a_file", "oracle_out_is_a_file",
+                                   "config_output_dir_is_under_a_file"])
+def test_os_error_on_a_named_path_is_exit_2(tmp_path, capsys, monkeypatch, named):
+    # a directory as --config, and an --out (or output.dir) that is or lies
+    # under a file: each names a path the user gave, so each is a
+    # configuration error, not a traceback, and found before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+    monkeypatch.setattr(cli, "run_pipeline", no_work)
+    monkeypatch.setattr(cli, "sweep", no_work)
     (tmp_path / "file").write_text("")
+    (tmp_path / "run.cfg").write_text(f"output.dir = {tmp_path / 'file' / 'out'}\n")
     argv = {"config_is_a_directory": ["eigen", "--config", str(tmp_path)],
             "out_is_a_file": ["solve", "--out", str(tmp_path / "file")],
-            "out_is_under_a_file": ["solve", "--out", str(tmp_path / "file" / "out")]}[named]
+            "out_is_under_a_file": ["solve", "--out", str(tmp_path / "file" / "out")],
+            "eigen_out_is_a_file": ["eigen", "--out", str(tmp_path / "file")],
+            "validate_out_is_under_a_file": ["validate", "--out",
+                                             str(tmp_path / "file" / "out")],
+            "oracle_out_is_a_file": ["oracle", "--out", str(tmp_path / "file")],
+            "config_output_dir_is_under_a_file": ["oracle", "--config",
+                                                  str(tmp_path / "run.cfg")]}[named]
     assert main(argv + ["--preset", "p1-interval", "--n", "31"]) == 2
     assert "configuration error: " in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_config_file_that_is_not_utf8_is_exit_2(tmp_path, capsys):
