@@ -14,18 +14,19 @@ import numpy as np
 from trisol import (DomainSpec, EnergyModel, TruncationMode,
                     cubic_nonlinearity, eigenpairs, find_branch,
                     initial_guess, minimize, sign_change_brackets, sweep)
+from trisol.oracle import STEPS
 
 length = 1.0
 nl = cubic_nonlinearity(DomainSpec.interval(length, 63))
 
 slopes = np.arange(-50.0, 50.0 + 0.005, 0.01)
-endpoints, blown = sweep(nl, length, slopes, 2048)
+endpoints, blown = sweep(nl, length, slopes, STEPS)
 brackets = sign_change_brackets(slopes, endpoints, blown)
 print(f"slope sweep over [-50, 50]: {len(brackets)} nontrivial branches, "
       f"{int(blown.sum())} trajectories blew up")
 
 print("\nbranches (negative mirror images included):")
-branches = find_branch(nl, length, brackets, 4096)
+branches = find_branch(nl, length, brackets, STEPS)
 for branch in branches:
     interior = branch.values[1:-1]
     crossings = int(np.sum(interior[:-1] * interior[1:] < 0.0))

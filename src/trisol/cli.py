@@ -26,8 +26,8 @@ from .descent import DescentOptions
 from .grid import DomainSpec, Field
 from .mountainpass import MPOptions
 from .nonlinearity import MIN_VALIDATE_SAMPLES, Nonlinearity, validate_condition_g
-from .oracle import (MAX_RK4_STEPS, MAX_SWEEP_LANES, MIN_RK4_STEPS, RK4_STEPS, fan_slopes,
-                     find_branch, sign_change_brackets, sweep)
+from .oracle import (MAX_STEPS, MAX_SWEEP_LANES, MIN_STEPS, STEPS, fan_slopes, find_branch,
+                     sign_change_brackets, sweep)
 from .pipeline import run_pipeline
 from .presets import cubic_nonlinearity, preset_domain
 from .spectrum import MIN_EIGEN_COUNT, eigenvalue_table
@@ -149,11 +149,11 @@ class RunConfig:
         # the library would reject these mid-run
         for key, floor in (("validate.samples", MIN_VALIDATE_SAMPLES),
                            ("eigen.count", MIN_EIGEN_COUNT),
-                           ("oracle.steps", MIN_RK4_STEPS)):
+                           ("oracle.steps", MIN_STEPS)):
             if settings.get(key, floor) < floor:
                 raise ConfigError(f"{key} must be at least {floor}, got {settings[key]}")
-        if (steps := settings.get("oracle.steps", RK4_STEPS)) > MAX_RK4_STEPS:
-            raise ConfigError(f"oracle.steps must be at most {MAX_RK4_STEPS}, got {steps}")
+        if (steps := settings.get("oracle.steps", STEPS)) > MAX_STEPS:
+            raise ConfigError(f"oracle.steps must be at most {MAX_STEPS}, got {steps}")
         lo, hi, step = (settings[f"oracle.slope_{end}"] for end in ("min", "max", "step"))
         if not (np.all(np.isfinite([lo, hi, step])) and lo < hi and step > 0):
             raise ConfigError("oracle slopes need finite slope_min < slope_max "
@@ -324,7 +324,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     nl = cfg.nonlinearity(spec)
     (length,) = spec.lengths
     lo, hi, step = (cfg.settings[f"oracle.slope_{end}"] for end in ("min", "max", "step"))
-    steps = cfg.settings.get("oracle.steps", RK4_STEPS)
+    steps = cfg.settings.get("oracle.steps", STEPS)
     slopes = np.arange(lo, hi + 0.5 * step, step)
     # the scan only places sign changes and blow-ups, so it runs at a sixteenth
     # of the steps; a lane next to one may change side at `steps`, so every

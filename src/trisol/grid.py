@@ -279,7 +279,7 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     have as many negative eigenvalues as -lap - diag(w) - s.  Pivots of n
     nodes that pass a batched Cholesky test of D_i - n eps |D_i|_inf I have
     none negative; otherwise a batched eigvalsh counts them.  Every step
-    inverts D_i once.
+    solves D_i X = I for the last `width` columns of I only.
     """
     for name, finite in (("weight row", np.isfinite(weights).all(axis=1)),
                          ("shift", np.isfinite(shifts))):
@@ -295,6 +295,8 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
     symbol = _symbol(domain).ravel()
     for row in np.flatnonzero(constant):
         counts[row] = np.count_nonzero((symbol - weights[row, 0])[:, None] < shifts, axis=0)
+    if constant.all():
+        return counts[rows]
     grid = weights[~constant].reshape((-1,) + domain.counts)
     if domain.ndim == 1:
         # an interval is a rectangle one node wide with no coupling across it
@@ -328,7 +330,8 @@ def count_below(domain: DomainSpec, weights: np.ndarray, shifts: np.ndarray) -> 
                 raise SingularPivotError(
                     f"pivot block {k} of the inertia count is singular to rounding")
             negative += np.count_nonzero(vals < 0.0, axis=1)
-        schur[:, :width, :width] = np.linalg.inv(pivot)[:, -width:, -width:] / h ** 4
+        corner = np.linalg.solve(pivot, eye[:n, n - width:n])[:, -width:]  # of D_i^{-1}
+        schur[:, :width, :width] = corner / h ** 4
     counts[~constant] = negative.reshape(len(grid), len(shifts))
     return counts[rows]
 

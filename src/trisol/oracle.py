@@ -1,8 +1,9 @@
 """Shooting-method ground truth for the 1D boundary value problem.
 
-Integrates u'' = -g(u) from the left endpoint with classical RK4 and the
-*untruncated* g, so agreement with the variational solver independently
-certifies that the truncated solutions solve the original equation.
+Integrates u'' = -g(u) from the left endpoint with the *untruncated* g, so
+agreement with the variational solver independently certifies that the
+truncated solutions solve the original equation.  The integrator is Yoshida's
+sixth-order composition of the kick-drift-kick leapfrog, 7 calls of g a step.
 Trajectories that leave 10 * max(a+, -a-) are frozen, flagged as blown up
 and dropped from the sweep.  Roots of the endpoint map are refined by batched
 multisection: round 1 spreads 65 slopes over each sign-change bracket, and
@@ -22,9 +23,9 @@ import numpy as np
 from .grid import DomainSpec
 from .nonlinearity import Nonlinearity
 
-RK4_STEPS = 4096  # default steps per trajectory
-MIN_RK4_STEPS = 1000
-MAX_RK4_STEPS = 2**20  # steps per trajectory in one command-line run
+STEPS = 1024  # default steps per trajectory
+MIN_STEPS = 1000
+MAX_STEPS = 2**20  # steps per trajectory in one command-line run
 MAX_SWEEP_LANES = 1_000_000  # slopes in one command-line sweep
 _LANES = 64  # sub-brackets per multisection round; a sweep of 65 lanes costs about one shot
 
@@ -46,7 +47,7 @@ class ShotResult:
         """Trajectory restricted to the interior nodes of an interval grid.
 
         The step count must be divisible by (interior count + 1) so the
-        RK4 abscissae land exactly on the grid nodes.
+        abscissae land exactly on the grid nodes.
         """
         if spec.ndim != 1:
             raise ValueError("the shooting oracle is one-dimensional")
@@ -54,48 +55,42 @@ class ShotResult:
         steps = len(self.values) - 1
         if steps % (n + 1) != 0:
             raise ValueError(
-                f"{steps} RK4 steps do not land on a grid with {n} interior nodes")
+                f"{steps} steps do not land on a grid with {n} interior nodes")
         stride = steps // (n + 1)
         return self.values[stride::stride][:n].copy()
 
 
-def _stage_sum(k1: np.ndarray, k2: np.ndarray, k3: np.ndarray, k4: np.ndarray,
-               h: float) -> np.ndarray:
-    """(h / 6) (k1 + 2 k2 + 2 k3 + k4), added in that order but written into k2
-    (and 2 k3 into k3), so no temporary is allocated."""
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= h / 6.0
-    return k2
+# Yoshida's sixth-order "solution A" (Phys. Lett. A 150, 1990): a step is the
+# kick-drift-kick leapfrog at these fractions of it in turn, each stage's
+# closing kick merged into the next stage's opening kick
+_W1, _W2, _W3 = -1.17767998417887, 0.235573213359357, 0.784513610477560
+_DRIFTS = (_W3, _W2, _W1, 1.0 - 2.0 * (_W1 + _W2 + _W3), _W1, _W2, _W3)
+_KICKS = tuple(0.5 * (a + b) for a, b in zip((0.0, *_DRIFTS), (*_DRIFTS, 0.0)))
 
 
-def _rk4_sweep(nl: Nonlinearity, h: float, u: np.ndarray, p: np.ndarray, steps: int, every: int):
-    """`steps` RK4 steps of size h from (u, u') = (u, p) on all lanes at once; returns
+def _integrate(nl: Nonlinearity, h: float, u: np.ndarray, p: np.ndarray, steps: int,
+               every: int):
+    """`steps` steps of size h from (u, u') = (u, p) on all lanes at once; returns
     each lane's final u and blown flag, and its u and p every `every` steps from the
     start (None, None for 0).  A lane whose |u| passes the cap, at the start too, freezes."""
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
+    drifts, kicks = [h * w for w in _DRIFTS], [h * w for w in _KICKS]
     u, p = np.array(u, dtype=float), np.array(p, dtype=float)
     frozen = np.zeros((2, p.size))  # u and p of the blown lanes
     blown, live = np.zeros(p.shape, dtype=bool), np.arange(p.size)
     us, ps = np.zeros((2, steps // every + 1, p.size)) if every else (None, None)
+    gu = nl.g(u)  # g at the step's start, ended the last one; never written into
     for i in range(steps + 1):
-        if i:  # u' = p, p' = -g(u), with g1..g4 = -k1p..-k4p
-            g1 = nl.g(u)
-            k2u = p - 0.5 * h * g1
-            g2 = nl.g(u + 0.5 * h * p)
-            k3u = p - 0.5 * h * g2
-            g3 = nl.g(u + 0.5 * h * k2u)
-            k4u = p - h * g3
-            g4 = nl.g(u + h * k3u)
-            u += _stage_sum(p, k2u, k3u, k4u, h)
-            p -= _stage_sum(g1, g2, g3, g4, h)  # into g2: a g returning its argument makes g1 u
+        if i:  # u' = p, p' = -g(u)
+            p -= kicks[0] * gu
+            for drift, kick in zip(drifts, kicks[1:]):
+                u += drift * p
+                gu = nl.g(u)  # a g may return u itself, which the next drift moves
+                p -= kick * gu
         if np.abs(u).max(initial=0.0) > cap:
             out = np.abs(u) > cap
             frozen[:, live[out]], blown[live[out]] = (u[out], p[out]), True
-            live, u, p = live[~out], u[~out], p[~out]
+            live, u, p, gu = live[~out], u[~out], p[~out], gu[~out]
         if every and i % every == 0:
             us[i // every], ps[i // every] = frozen
             us[i // every, live], ps[i // every, live] = u, p
@@ -104,8 +99,8 @@ def _rk4_sweep(nl: Nonlinearity, h: float, u: np.ndarray, p: np.ndarray, steps: 
 
 
 def _check_steps(steps: int) -> None:
-    if steps < MIN_RK4_STEPS:
-        raise ValueError(f"use at least {MIN_RK4_STEPS} RK4 steps")
+    if steps < MIN_STEPS:
+        raise ValueError(f"use at least {MIN_STEPS} steps")
 
 
 def _stride(steps: int) -> int:
@@ -118,7 +113,7 @@ def _stride(steps: int) -> int:
 def _checkpointed(nl: Nonlinearity, length: float, slopes: np.ndarray, steps: int):
     """One unrecorded sweep of an array of slopes; returns (endpoints, blown, starts)
     shaped like it, starts[..., k, :] the (u, p) after k * _stride(steps) steps."""
-    ends, blown, us, ps = _rk4_sweep(nl, length / steps, np.zeros(slopes.size), slopes.ravel(),
+    ends, blown, us, ps = _integrate(nl, length / steps, np.zeros(slopes.size), slopes.ravel(),
                                      steps, _stride(steps))
     return (ends.reshape(slopes.shape), blown.reshape(slopes.shape),
             np.stack([us[:-1].T, ps[:-1].T], axis=-1).reshape(*slopes.shape, -1, 2))
@@ -130,7 +125,7 @@ def _replay(nl: Nonlinearity, length: float, steps: int,
     at equal intervals from step 0: all segments in one recorded sweep, with the bits
     of one sweep of the whole trajectory, since each lane's arithmetic is its own."""
     count, segments, _ = starts.shape
-    ends, blown, us, ps = _rk4_sweep(nl, length / steps, *starts.reshape(-1, 2).T,
+    ends, blown, us, ps = _integrate(nl, length / steps, *starts.reshape(-1, 2).T,
                                      steps // segments, 1)
     us, ps = us.reshape(-1, count, segments), ps.reshape(-1, count, segments)
     xs = np.linspace(0.0, length, steps + 1)
@@ -150,8 +145,8 @@ def sweep(nl: Nonlinearity, length: float, slopes: np.ndarray,
           steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint map over an array of slopes at any step count; returns (endpoints, blown)."""
     if steps < 1:
-        raise ValueError(f"use at least 1 RK4 step, got {steps}")
-    return _rk4_sweep(nl, length / steps, np.zeros_like(slopes), slopes, steps, 0)[:2]
+        raise ValueError(f"use at least 1 step, got {steps}")
+    return _integrate(nl, length / steps, np.zeros_like(slopes), slopes, steps, 0)[:2]
 
 
 def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
@@ -199,7 +194,7 @@ def fan_slopes(brackets: list[tuple[float, float]]) -> np.ndarray:
 
 
 def find_branch(nl: Nonlinearity, length: float, brackets: list[tuple[float, float]],
-                steps: int = RK4_STEPS,
+                steps: int = STEPS,
                 swept: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                 ) -> list[ShotResult]:
     """Multisect the endpoint map inside every sign-change bracket at once.

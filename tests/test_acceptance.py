@@ -18,7 +18,7 @@ from trisol.descent import initial_guess, minimize
 from trisol.energy import EnergyModel
 from trisol.grid import DomainSpec, Field, inner_product, quadrature
 from trisol.nonlinearity import TruncationMode, antiderivative, truncate
-from trisol.oracle import find_branch, sign_change_brackets, sweep
+from trisol.oracle import STEPS, find_branch, sign_change_brackets, sweep
 from trisol.presets import build_preset, cubic_nonlinearity
 from trisol.spectrum import eigenpairs, sandwich_index
 
@@ -67,7 +67,7 @@ def test_criterion_1_p1_end_to_end(tmp_path):
 @_checked("2 (oracle equivalence)")
 def test_criterion_2_oracle_equivalence():
     length = 1.0
-    steps = 4096
+    steps = STEPS
     nl = cubic_nonlinearity(DomainSpec.interval(length, 63))
 
     # certify at least three nontrivial branches from the slope sweep

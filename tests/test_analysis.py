@@ -358,17 +358,41 @@ def test_count_below_matches_dense_in_blocks_of_several_lines(lengths, counts):
 @pytest.mark.parametrize("preset, n, steps", [("p1-interval", 511, 16), ("p2-square", None, 63)])
 def test_count_below_steps_in_blocks_of_several_lines(preset, n, steps, monkeypatch):
     # deterministic guard against per-node steps: counting a solve's four
-    # points inverts one pivot block per step, 16 blocks of up to 32 nodes
-    # on the interval at 511 and one 63-node grid line per step on p2
+    # points solves one pivot block per step, 16 blocks of up to 32 nodes
+    # on the interval at 511 and one 63-node grid line per step on p2, each
+    # for the last line's columns of the identity only
     spec, nl = build_preset(preset, n)
     report = run_pipeline(spec, nl)
     calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append((a.shape, b.shape)) or solve(a, b))
     model = EnergyModel(spec, nl, TruncationMode.FULL)
     indices = [r.index for r in morse_index(model, [p.u for p in report.points])]
     assert indices == [p.morse_index for p in report.points]
     assert 0 < len(calls) <= steps
+    width = 1 if spec.ndim == 1 else min(spec.counts)
+    assert all(b == (a[-1], width) for a, b in calls), calls
+
+
+@pytest.mark.parametrize("preset, n, zero_row", [("p1-interval", 511, [0, 0, 7, 14]),
+                                             ("p2-square", None, [0, 0, 33, 150])],
+                         ids=["interval-511", "square-63"])
+def test_count_below_of_constant_rows_takes_no_pivot_step(preset, n, zero_row, monkeypatch):
+    # a stack of constant rows is counted from the symbol alone, with no
+    # factorization, inverse or solve; below 500 and 2000 the zero row counts
+    # the modes with about pi^2 (j^2 + k^2) below the shift
+    spec, _ = build_preset(preset, n)
+    for name in ("cholesky", "inv", "solve", "eigvalsh"):
+        def refuse(*args, name=name):
+            raise AssertionError(f"the symbol's counts called np.linalg.{name}")
+        monkeypatch.setattr(np.linalg, name, refuse)
+    weights = np.array([[0.0], [60.0], [-3.0]]) * np.ones(spec.size)
+    shifts = np.array([-100.0, 0.0, 500.0, 2000.0])
+    symbol = grid._symbol(spec).ravel()
+    expected = [np.count_nonzero(symbol - w[0] < shifts[:, None], axis=1) for w in weights]
+    assert np.array_equal(count_below(spec, weights, shifts), expected)
+    assert np.array_equal(expected[0], zero_row)
 
 
 def test_morse_work_count(p1, monkeypatch):

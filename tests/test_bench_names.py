@@ -48,13 +48,13 @@ import tracer
 from trisol import cli, oracle
 t = tracer.Tracer()
 t.install()
-inside, rk4 = [], oracle._rk4_sweep
+inside, integrate = [], oracle._integrate
 
 def recorded(*args):
     inside.append(sum(t.active.values()) > 0)
-    return rk4(*args)
+    return integrate(*args)
 
-oracle._rk4_sweep = recorded
+oracle._integrate = recorded
 rc = cli.main(["oracle", "--config", sys.argv[3]])
 print(json.dumps({"rc": rc, "inside": inside, "missing": t.missing}))
 """

@@ -409,7 +409,7 @@ def test_oracle_zero_slope_step_is_exit_2(tmp_path, capsys):
 
 def test_oracle_steps_above_the_limit_is_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"preset = p1-interval\noracle.steps = {oracle.MAX_RK4_STEPS + 1}\n")
+    cfg.write_text(f"preset = p1-interval\noracle.steps = {oracle.MAX_STEPS + 1}\n")
     assert main(["oracle", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "oracle.steps must be at most 1048576" in err and "Traceback" not in err
@@ -521,7 +521,7 @@ def test_solve_and_oracle_skip_optional_numpy_modules(tmp_path):
     solve = ["solve", "--preset", "p1-interval", "--n", "31",
              "--out", str(tmp_path / "out")]
     assert _optional_numpy_modules_after(solve, tmp_path) == (0, "['numpy.fft']")
-    # a window holding one branch, at a step count past the RK4 floor, so
+    # a window holding one branch, at a step count past the 1000-step floor, so
     # the oracle half really shoots
     cfg = tmp_path / "oracle.cfg"
     cfg.write_text("preset = p1-interval\noracle.slope_min = 30\noracle.slope_max = 50\n"
@@ -593,51 +593,52 @@ def _oracle_body(tmp_path, capsys, lines):
 
 
 def _recorded_passes(monkeypatch):
-    """Record (lanes, steps, every, blown) of every RK4 pass that `oracle`
+    """Record (lanes, steps, every, blown) of every integrator pass that `oracle`
     makes: the lanes are the initial u' of each, the slopes but in a replay."""
-    calls, rk4 = [], oracle._rk4_sweep
+    calls, integrate = [], oracle._integrate
 
     def recorded(nl, h, u, p, steps, every):
-        end, blown, us, ps = rk4(nl, h, u, p, steps, every)
+        end, blown, us, ps = integrate(nl, h, u, p, steps, every)
         calls.append((np.array(p, dtype=float), steps, every, blown.copy()))
         return end, blown, us, ps
-    monkeypatch.setattr(oracle, "_rk4_sweep", recorded)
+    monkeypatch.setattr(oracle, "_integrate", recorded)
     return calls
 
 
 def test_oracle_scan_keeps_a_root_beside_a_scan_lane(tmp_path, capsys, monkeypatch):
-    # the root lies about 1e-10 above the lane at 35.33740129699026, whose
-    # endpoint changes sign between the scan's 256 steps and the full 4096;
-    # integrated again at 4096, the bracket holds the root.  It is not the
-    # scan's bracket, so round 1 sweeps its slopes instead of taking the ones
-    # integrated with the edge lanes and the two end lanes
+    # the root at the full 1024 steps lies about 6e-12 below the lane at
+    # 35.3374012970987 and at the scan's 256 steps about 6e-12 above it, so
+    # that lane's endpoint changes sign between the two; integrated again at
+    # 1024, the bracket below it holds the root.  It is not the scan's bracket,
+    # so round 1 sweeps its slopes instead of taking the ones integrated with
+    # the edge lanes and the two end lanes
     calls = _recorded_passes(monkeypatch)
-    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.28740129699027",
-                                           "oracle.slope_max = 35.387401297090264",
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.2874012970987",
+                                           "oracle.slope_max = 35.3874012970987",
                                            "oracle.slope_step = 0.01"])
     (scan, coarse, _, _), (again, fine, _, _), (round_1, *_) = calls[:3]
-    assert (scan.size, coarse, again.size, fine) == (11, 256, 71, 4096)
-    assert np.array_equal(again[:6], scan[[0, 3, 4, 5, 6, 10]])
-    assert np.array_equal(again[6:], oracle.fan_slopes([(scan[4], scan[5])]).ravel())
-    assert np.array_equal(round_1, oracle.fan_slopes([(scan[5], scan[6])]).ravel())
+    assert (scan.size, coarse, again.size, fine) == (11, 256, 71, 1024)
+    assert np.array_equal(again[:6], scan[[0, 4, 5, 6, 7, 10]])
+    assert np.array_equal(again[6:], oracle.fan_slopes([(scan[5], scan[6])]).ravel())
+    assert np.array_equal(round_1, oracle.fan_slopes([(scan[4], scan[5])]).ravel())
     assert body["blown_up"] == 0 and body["branch_count"] == 1
-    assert body["branches"] == [{"amplitude": 5.176440898219756,
-                                 "endpoint": -5.551115123125783e-16,
+    assert body["branches"] == [{"amplitude": 5.176440898220348,
+                                 "endpoint": 1.1796119636642288e-16,
                                  "interior_sign_changes": 1,
-                                 "slope": 35.33740129709027}]
+                                 "slope": 35.337401297092704}]
 
 
 def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, monkeypatch):
     # the scan runs at a sixteenth of the steps; the two lanes on each side of
     # the sign change between 42.40 and 42.41 and of the blown edge between
     # 42.44 and 42.45, and the two end lanes, are integrated again at the full
-    # 4096, in the same pass as the round-1 slopes of the scan's one bracket
+    # 1024, in the same pass as the round-1 slopes of the scan's one bracket
     calls = _recorded_passes(monkeypatch)
     body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 42.0",
                                            "oracle.slope_max = 42.6",
                                            "oracle.slope_step = 0.01"])
     (scan, coarse, _, _), (again, fine, _, blown) = calls[:2]
-    assert (scan.size, coarse, fine) == (61, 256, 4096)
+    assert (scan.size, coarse, fine) == (61, 256, 1024)
     assert np.round(again[:10], 9).tolist() == [42.0, 42.39, 42.4, 42.41, 42.42, 42.43, 42.44,
                                                 42.45, 42.46, 42.6]
     assert np.array_equal(again[10:], oracle.fan_slopes([(scan[40], scan[41])]).ravel())
@@ -647,53 +648,53 @@ def test_oracle_integrates_the_lanes_beside_every_edge_again(tmp_path, capsys, m
 
 def test_oracle_rescans_every_lane_when_a_root_moves_past_its_window(tmp_path, capsys,
                                                                      monkeypatch):
-    # at 1024 steps the root lies about 6e-10 below its place at 4096, some
-    # 30 lanes of 2e-11, and at the scan's 256 steps it lies below the whole
-    # range: the scan has no edge, the two end lanes integrated again at 4096
-    # fall on its two sides, and the whole scan is repeated at 4096, which
-    # finds the root of the 4096-step scan
+    # at the scan's 256 steps the root lies about 1.2e-11 above its place at
+    # the full 1024, some 120 lanes of 1e-13, and above the whole range: the
+    # scan has no edge, the two end lanes integrated again at 1024 fall on the
+    # two sides of the root, and the whole scan is repeated at 1024, which
+    # finds the root of the 1024-step scan
     calls = _recorded_passes(monkeypatch)
-    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.337401296",
-                                           "oracle.slope_max = 35.337401298",
-                                           "oracle.slope_step = 2e-11"])
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.337401297087",
+                                           "oracle.slope_max = 35.337401297097",
+                                           "oracle.slope_step = 1e-13"])
     assert [(lanes.size, steps) for lanes, steps, _, _ in calls] == [
-        (101, 256), (2, 4096), (101, 4096), (65, 4096), (65, 4096), (64, 64)]
+        (101, 256), (2, 1024), (101, 1024), (65, 1024), (32, 32)]
     assert body["blown_up"] == 0 and body["branch_count"] == 1
-    assert body["branches"] == [{"amplitude": 5.176440898219756,
-                                 "endpoint": -5.551115123125783e-16,
+    assert body["branches"] == [{"amplitude": 5.176440898220348,
+                                 "endpoint": 1.1796119636642288e-16,
                                  "interior_sign_changes": 1,
-                                 "slope": 35.33740129709027}]
+                                 "slope": 35.337401297092704}]
 
 
 def test_oracle_rescans_every_lane_when_a_root_moves_past_its_edge_lanes(tmp_path, capsys,
                                                                         monkeypatch):
-    # at the scan's 256 steps the root lies about 1.5e-7 below its place at
-    # 4096, some 73 lanes of 2e-9 but inside the range: the lanes beside the
-    # scan's edge, integrated again at 4096 (6 with the end lanes, and the 65
+    # at the scan's 256 steps the root lies about 1.2e-11 above its place at
+    # 1024, some 120 lanes of 1e-13 but inside the range: the lanes beside the
+    # scan's edge, integrated again at 1024 (6 with the end lanes, and the 65
     # round-1 slopes), all fall on one side, and the whole scan is repeated
     calls = _recorded_passes(monkeypatch)
-    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.3374011",
-                                           "oracle.slope_max = 35.3374014",
-                                           "oracle.slope_step = 2e-9"])
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.3374012970912",
+                                           "oracle.slope_max = 35.3374012971062",
+                                           "oracle.slope_step = 1e-13"])
     assert [(lanes.size, steps) for lanes, steps, _, _ in calls] == [
-        (151, 256), (71, 4096), (151, 4096), (65, 4096), (65, 4096), (64, 64)]
+        (151, 256), (71, 1024), (151, 1024), (65, 1024), (32, 32)]
     assert body["blown_up"] == 0 and body["branch_count"] == 1
-    assert body["branches"][0]["slope"] == 35.33740129709027
+    assert body["branches"][0]["slope"] == 35.337401297092704
 
 
 def test_oracle_finds_a_root_the_scan_moves_out_of_the_range(tmp_path, capsys):
-    # the 4096-step map changes sign between lanes 4 and 5, but the coarse
+    # the 1024-step map changes sign between lanes 4 and 5, but the coarse
     # scan's root lies outside the range, so it shows no sign change; the end
-    # lanes, integrated again at 4096, differ in sign and the range is scanned
-    # again at 4096
-    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.3374012970",
-                                           "oracle.slope_max = 35.3374012972",
-                                           "oracle.slope_step = 2e-11"])
+    # lanes, integrated again at 1024, differ in sign and the range is scanned
+    # again at 1024
+    body = _oracle_body(tmp_path, capsys, ["oracle.slope_min = 35.3374012970882",
+                                           "oracle.slope_max = 35.3374012970982",
+                                           "oracle.slope_step = 1e-12"])
     assert body["blown_up"] == 0 and body["branch_count"] == 1
-    assert body["branches"] == [{"amplitude": 5.176440898219756,
-                                 "endpoint": -5.551115123125783e-16,
+    assert body["branches"] == [{"amplitude": 5.176440898220349,
+                                 "endpoint": 1.1796119636642288e-16,
                                  "interior_sign_changes": 1,
-                                 "slope": 35.33740129709027}]
+                                 "slope": 35.33740129709271}]
 
 
 def test_oracle_scan_without_an_edge_sweeps_once(tmp_path, capsys, monkeypatch):
@@ -704,7 +705,7 @@ def test_oracle_scan_without_an_edge_sweeps_once(tmp_path, capsys, monkeypatch):
                    "oracle.slope_max = 2\noracle.slope_step = 0.1\n")
     assert main(["oracle", "--config", str(cfg)]) == 1
     assert json.loads(capsys.readouterr().out)["branch_count"] == 0
-    assert [(lanes.size, steps) for lanes, steps, _, _ in calls] == [(11, 256), (2, 4096)]
+    assert [(lanes.size, steps) for lanes, steps, _, _ in calls] == [(11, 256), (2, 1024)]
 
 
 def test_oracle_2048_step_scan_output(tmp_path, capsys):
@@ -713,7 +714,7 @@ def test_oracle_2048_step_scan_output(tmp_path, capsys):
                                            "oracle.slope_max = 45", "oracle.slope_step = 0.05"])
     assert body["blown_up"] == 104 and body["branch_count"] == 2
     assert [(b["slope"], b["endpoint"]) for b in body["branches"]] == [
-        (-35.33740129705404, -6.17214612752548e-15), (35.33740129705404, 6.17214612752548e-15)]
+        (-35.33740129709266, -8.673617379884035e-18), (35.33740129709266, 8.673617379884035e-18)]
 
 
 def test_oracle_prints_its_json_once_through_a_pipe(tmp_path):
@@ -728,10 +729,10 @@ def test_oracle_prints_its_json_once_through_a_pipe(tmp_path):
     assert body["branch_count"] == 4 and body["blown_up"] == 1512
     assert [(b["slope"], b["endpoint"], b["amplitude"], b["interior_sign_changes"])
             for b in body["branches"]] == [
-        (-42.40263048243569, -1.9038069731802665e-13, 7.615218562180439, 0),
-        (-35.33740129709027, 5.551115123125783e-16, 5.176440898219756, 1),
-        (35.33740129709027, -5.551115123125783e-16, 5.176440898219756, 1),
-        (42.40263048243568, 1.9038069731802665e-13, 7.615218562180439, 0)]
+        (-42.40263048243571, 1.3031242751537775e-13, 7.615218562180596, 0),
+        (-35.33740129709271, -1.1796119636642288e-16, 5.176440898220349, 1),
+        (35.337401297092704, 1.1796119636642288e-16, 5.176440898220348, 1),
+        (42.40263048243571, -1.3031242751537775e-13, 7.615218562180596, 0)]
 
 
 @pytest.mark.parametrize("lam, count, blown_up, crossings", [
