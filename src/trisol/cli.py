@@ -50,14 +50,11 @@ _SCHEMA: dict[str, type] = {
     "nonlinearity.delta": float,
     "descent.max_iters": int,
     "descent.grad_tol": float,
-    "descent.armijo_c": float,
     "descent.backtrack_factor": float,
-    "descent.initial_step": float,
     "mountainpass.path_count": int,
     "mountainpass.max_iters": int,
     "mountainpass.grad_tol": float,
     "mountainpass.perturbation": float,
-    "mountainpass.collapse_tol": float,
     "morse.tol": float,
     "validate.samples": int,
     "eigen.count": int,
@@ -313,7 +310,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def _scan_edges(endpoints: np.ndarray, blown: np.ndarray) -> np.ndarray:
     """Lanes i with an unblown sign change or a change of blown flag to lane i + 1."""
-    return np.flatnonzero((endpoints[:-1] * endpoints[1:] <= 0.0) & ~(blown[:-1] | blown[1:])
+    sign = np.sign(endpoints)  # a blown lane's endpoint may be huge: no products
+    return np.flatnonzero((sign[:-1] * sign[1:] <= 0.0) & ~(blown[:-1] | blown[1:])
                           | (blown[:-1] != blown[1:]))
 
 

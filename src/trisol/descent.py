@@ -19,6 +19,8 @@ from .nonlinearity import TruncationMode
 from .spectrum import Eigenpair
 
 STEP_UNDERFLOW = 1e-16
+ARMIJO_C = 1e-4     # sufficient-decrease constant of every Armijo test
+INITIAL_STEP = 1.0  # first trial step of every line search
 
 
 @dataclass(kw_only=True)
@@ -27,19 +29,14 @@ class DescentOptions:
 
     max_iters: int = 5000
     grad_tol: float = 1e-8          # on sup |grad_residual|, times scale
-    armijo_c: float = 1e-4
     backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     callback: Callable[[dict], None] | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must lie in (0, 1)")
         if not (0.0 < self.backtrack_factor < 1.0):
             raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not (self.max_iters >= 1 and 0.0 < self.grad_tol < np.inf
-                and 0.0 < self.initial_step < np.inf):
-            raise ValueError("max_iters, grad_tol, initial_step must be positive and finite")
+        if not (self.max_iters >= 1 and 0.0 < self.grad_tol < np.inf):
+            raise ValueError("max_iters and grad_tol must be positive and finite")
 
 
 def initial_guess(model: EnergyModel, phi1: Eigenpair) -> Field:
@@ -65,10 +62,10 @@ def initial_guess(model: EnergyModel, phi1: Eigenpair) -> Field:
 
 def _armijo_step(model: EnergyModel, values, residual, direction, slope, opts):
     """Largest accepted step along direction, or None on underflow."""
-    step = opts.initial_step
+    step = INITIAL_STEP
     while step >= STEP_UNDERFLOW:
         decrease = model.phi_increment(values, residual, step * direction)
-        if decrease <= opts.armijo_c * step * slope:
+        if decrease <= ARMIJO_C * step * slope:
             return step, decrease
         step *= opts.backtrack_factor
     return None, None

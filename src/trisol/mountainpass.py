@@ -20,13 +20,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import Classification, CriticalPoint
-from .descent import DescentOptions, _armijo_step
+from .descent import ARMIJO_C, INITIAL_STEP, DescentOptions, _armijo_step
 from .energy import EnergyModel
 from .grid import Field, h1_seminorm_sq_values, inner_product_values, row_blocks
 from .nonlinearity import TruncationMode
 from .spectrum import eigenpairs
 
 RESPACE_EVERY = 4  # every this many steps the path is re-spaced, peak moved or not
+COLLAPSE_TOL = 1e-6  # H1 distance below which the peak has reached an endpoint
 
 
 class PathCollapseError(RuntimeError):
@@ -41,7 +42,6 @@ class MPOptions(DescentOptions):
     path_count: int = 21            # number of segments, nodes = path_count + 1
     max_iters: int = 20000
     perturbation: float = 0.1       # midpoint bump along phi_2, in units of delta
-    collapse_tol: float = 1e-6
 
     def __post_init__(self):
         super().__post_init__()
@@ -49,8 +49,6 @@ class MPOptions(DescentOptions):
             raise ValueError("need at least 8 path segments")
         if not np.isfinite(self.perturbation):
             raise ValueError(f"perturbation must be finite, got {self.perturbation}")
-        if not (np.isfinite(self.collapse_tol) and self.collapse_tol > 0):
-            raise ValueError(f"collapse_tol must be positive and finite, got {self.collapse_tol}")
 
 
 def _redistribute(domain, nodes, pin, out):
@@ -114,21 +112,21 @@ def _descend_max_node(model, u, residual, opts, tangent):
     if tau_sq > 0.0:
         reflected = _h1_reflection(spec, residual, direction, tangent, tau_sq)
         res_norm = np.sqrt(inner_product_values(spec, residual, residual))
-        step = min(opts.initial_step, 0.5 * np.sqrt(tau_sq / -slope))
+        step = min(INITIAL_STEP, 0.5 * np.sqrt(tau_sq / -slope))
         tries = None  # halvings still allowed, set when the first try fails
         # useful reflected steps are O(1); below 1e-8 let the plain step act
         while step >= 1e-8 and tries != 0:
             candidate = u + step * reflected
             res_new = model.residual_values(candidate)
             if (np.sqrt(inner_product_values(spec, res_new, res_new))
-                    <= (1.0 - opts.armijo_c * step) * res_norm):
+                    <= (1.0 - ARMIJO_C * step) * res_norm):
                 return candidate
             if tries is None:
                 # unless the residual norm falls along the step, h^d <res, J r> <
                 # -c |res|^2, no small step passes the test above: 3 halvings at most
                 jr = model.linearized_residual_values(u, reflected)
                 tries = np.inf if inner_product_values(spec, residual, jr) \
-                    < -opts.armijo_c * res_norm ** 2 else 3
+                    < -ARMIJO_C * res_norm ** 2 else 3
             else:
                 tries -= 1
             step *= opts.backtrack_factor
@@ -156,7 +154,7 @@ def _run_path_loop(model, u_minus, u_plus, opts, tol):
         if res_sup <= tol:
             return nodes[jmax], it, True, res_sup
         if np.any(np.sqrt(h1_seminorm_sq_values(spec, u - nodes[[0, last]]))
-                  < opts.collapse_tol):
+                  < COLLAPSE_TOL):
             raise PathCollapseError(
                 f"max-energy node collapsed onto an endpoint at path iteration {it} "
                 f"(peak residual {res_sup:.3e}); the two minimizers are not separated")

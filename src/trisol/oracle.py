@@ -68,11 +68,12 @@ _DRIFTS = (_W3, _W2, _W1, 1.0 - 2.0 * (_W1 + _W2 + _W3), _W1, _W2, _W3)
 _KICKS = tuple(0.5 * (a + b) for a, b in zip((0.0, *_DRIFTS), (*_DRIFTS, 0.0)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a lane may overflow to NaN within a step
 def _integrate(nl: Nonlinearity, h: float, u: np.ndarray, p: np.ndarray, steps: int,
                every: int):
     """`steps` steps of size h from (u, u') = (u, p) on all lanes at once; returns
     each lane's final u and blown flag, and its u and p every `every` steps from the
-    start (None, None for 0).  A lane whose |u| passes the cap, at the start too, freezes."""
+    start (None, None for 0).  A lane with |u| NaN or past the cap, at the start too, freezes."""
     cap = 10.0 * max(nl.a_plus, -nl.a_minus)
     drifts, kicks = [h * w for w in _DRIFTS], [h * w for w in _KICKS]
     u, p = np.array(u, dtype=float), np.array(p, dtype=float)
@@ -87,8 +88,8 @@ def _integrate(nl: Nonlinearity, h: float, u: np.ndarray, p: np.ndarray, steps: 
                 u += drift * p
                 gu = nl.g(u)  # a g may return u itself, which the next drift moves
                 p -= kick * gu
-        if np.abs(u).max(initial=0.0) > cap:
-            out = np.abs(u) > cap
+        if not np.abs(u).max(initial=0.0) <= cap:  # NaN propagates through max
+            out = ~(np.abs(u) <= cap)
             frozen[:, live[out]], blown[live[out]] = (u[out], p[out]), True
             live, u, p, gu = live[~out], u[~out], p[~out], gu[~out]
         if every and i % every == 0:
@@ -157,7 +158,7 @@ def sign_change_brackets(slopes: np.ndarray, endpoints: np.ndarray,
     bracket containing slope 0 (the trivial solution).
     """
     s, e, b = np.asarray(slopes, float), np.asarray(endpoints), np.asarray(blown, bool)
-    keep = ((e[:-1] == 0.0) | (e[:-1] * e[1:] < 0.0)) & ~(b[:-1] | b[1:])
+    keep = ((e[:-1] == 0.0) | (np.sign(e[:-1]) * np.sign(e[1:]) < 0.0)) & ~(b[:-1] | b[1:])
     keep &= (s[:-1] > 0.0) | (s[1:] < 0.0)
     return list(zip(s[:-1][keep].tolist(), s[1:][keep].tolist()))
 

@@ -91,14 +91,11 @@ _VALID_SETTINGS = {
     "nonlinearity.delta": "0.5",
     "descent.max_iters": "100",
     "descent.grad_tol": "1e-7",
-    "descent.armijo_c": "0.01",
     "descent.backtrack_factor": "0.25",
-    "descent.initial_step": "0.5",
     "mountainpass.path_count": "31",
     "mountainpass.max_iters": "500",
     "mountainpass.grad_tol": "1e-7",
     "mountainpass.perturbation": "0.2",
-    "mountainpass.collapse_tol": "1e-5",
     "morse.tol": "1e-5",
     "validate.samples": "256",
     "eigen.count": "4",
@@ -111,7 +108,7 @@ _VALID_SETTINGS = {
 
 
 def test_valid_settings_cover_the_schema():
-    assert len(_SCHEMA) == 28
+    assert len(_SCHEMA) == 25
     assert set(_VALID_SETTINGS) == set(_SCHEMA)
 
 
@@ -345,12 +342,16 @@ def test_solve_command_large_interval(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["poisson.tol = 1e-10", "morse.num_eigs = 0",
                                   "nonlinearity.name = cubic",
-                                  "mountainpass.restart_limit = 3"])
+                                  "mountainpass.restart_limit = 3",
+                                  "descent.armijo_c = 0.01", "descent.initial_step = 0.5",
+                                  "mountainpass.collapse_tol = 1e-5"])
 def test_removed_poisson_tol_key_is_exit_2(tmp_path, capsys, line):
     # Poisson solves are direct and Morse indices are exact counts, so the
     # old tolerance and eigenvalue-window keys are unknown now, and so are
-    # the nonlinearity name, whose only value was cubic, and the path's
-    # restart budget, which one fixed retry rule replaced
+    # the nonlinearity name, whose only value was cubic, the path's restart
+    # budget, which one fixed retry rule replaced, and the line search's
+    # sufficient-decrease constant, first step and collapse threshold, which
+    # are module constants
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"preset = p1-interval\ngrid.n = 31\n{line}\n")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -746,6 +747,19 @@ def test_oracle_on_tied_endpoints(tmp_path, capsys, lam, count, blown_up, crossi
     assert [b["interior_sign_changes"] for b in body["branches"]] == crossings
     for b in body["branches"]:
         assert abs(b["endpoint"]) <= 1e-12 * max(1.0, b["amplitude"])
+
+
+def test_oracle_counts_lanes_that_overflow_within_a_step_as_blown(tmp_path, capsys):
+    # every lane starts past the cap's reach; those of slope 1e7 and up overflow
+    # to NaN within the scan's first step, and the sign tests compare signs, so
+    # the frozen endpoints of blown lanes raise no overflow warning either
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = p1-interval\noracle.slope_min = -50\n"
+                   "oracle.slope_max = 1e9\noracle.slope_step = 1e7\n")
+    assert main(["oracle", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    body = json.loads(captured.out)
+    assert (body["blown_up"], body["branch_count"], captured.err) == (101, 0, "")
 
 
 def test_oracle_command_requires_interval(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trisol import descent
 from trisol.analysis import Classification
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
@@ -100,7 +101,7 @@ def test_minimize_monotone_energy_and_armijo(small):
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
     for entry in history:
         if "step" in entry:
-            assert entry["decrease"] <= opts.armijo_c * entry["step"] * entry["slope"]
+            assert entry["decrease"] <= descent.ARMIJO_C * entry["step"] * entry["slope"]
             assert entry["slope"] < 0.0
 
 
@@ -132,8 +133,10 @@ def test_minimize_rejects_full_mode(small):
 
 def test_descent_options_validation():
     with pytest.raises(ValueError):
-        DescentOptions(armijo_c=0.0)
-    with pytest.raises(ValueError):
         DescentOptions(backtrack_factor=1.0)
     with pytest.raises(ValueError):
         DescentOptions(max_iters=0)
+    # the sufficient-decrease constant and the first step are module constants
+    for removed in ("armijo_c", "initial_step"):
+        with pytest.raises(TypeError):
+            DescentOptions(**{removed: 0.5})

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from trisol import mountainpass
+from trisol import descent, mountainpass
 from trisol.analysis import Classification, CriticalPoint, morse_index
 from trisol.descent import DescentOptions, initial_guess, minimize
 from trisol.energy import EnergyModel
@@ -127,13 +127,13 @@ def test_rejects_a_converged_endpoint_whose_residual_exceeds_the_bound(solved):
         find_mountain_pass(full_model, minus, half)
 
 
-def test_collapse_detection_fires(solved):
+def test_collapse_detection_fires(solved, monkeypatch):
     # an absurdly wide collapse tolerance treats every node as an endpoint
     spec, nl, full_model, minus, plus = solved
+    monkeypatch.setattr(mountainpass, "COLLAPSE_TOL", 1e6)
     with pytest.raises(PathCollapseError,
                        match=r"at path iteration 0 \(peak residual \d\.\d{3}e[+-]\d+\)"):
-        find_mountain_pass(full_model, minus, plus,
-                           MPOptions(collapse_tol=1e6))
+        find_mountain_pass(full_model, minus, plus)
 
 
 def test_non_finite_path_peak_stops_at_its_first_iteration():
@@ -218,13 +218,14 @@ def test_iteration_cap_returns_data(solved):
 def test_mp_options_validation():
     # the path search shares the descent's checks on its line-search fields
     for bad in ({"path_count": 4}, {"max_iters": 0}, {"grad_tol": 0},
-                {"initial_step": 0}, {"armijo_c": 1.0},
-                {"initial_step": float("inf")}, {"grad_tol": float("nan")},
-                {"perturbation": float("nan")}, {"perturbation": float("inf")},
-                {"collapse_tol": float("nan")}, {"collapse_tol": -1.0},
-                {"collapse_tol": 0.0}):
+                {"grad_tol": float("nan")}, {"backtrack_factor": 1.0},
+                {"perturbation": float("nan")}, {"perturbation": float("inf")}):
         with pytest.raises(ValueError):
             MPOptions(**bad)
+    # the line search's constants and the collapse threshold are module constants
+    for removed in ("armijo_c", "initial_step", "collapse_tol"):
+        with pytest.raises(TypeError):
+            MPOptions(**{removed: 0.5})
     # keyword-only: inheritance reorders fields, so a positional value
     # would land on a different field than it did before
     with pytest.raises(TypeError):
@@ -487,7 +488,7 @@ def _check_converges_to_index_one(full_model, minus, plus):
 
 @pytest.mark.parametrize("case", ["plus", "minus", "star", "descent_capped",
                                   "descent_underflow", "path_capped"])
-def test_returned_residual_is_a_fresh_recomputation(p1, case):
+def test_returned_residual_is_a_fresh_recomputation(p1, case, monkeypatch):
     # each stage returns the sup residual its loop measured for the iterate
     # it returns, on every exit: converged, capped, and line-search underflow
     models = p1["models"]
@@ -501,8 +502,9 @@ def test_returned_residual_is_a_fresh_recomputation(p1, case):
         assert (point.converged, point.iterations) == (False, 2)
     else:
         # an initial step below the underflow limit ends the line search at once
-        opts = (DescentOptions(max_iters=2) if case == "descent_capped"
-                else DescentOptions(initial_step=1e-17))
+        if case == "descent_underflow":
+            monkeypatch.setattr(descent, "INITIAL_STEP", 1e-17)
+        opts = DescentOptions(max_iters=2) if case == "descent_capped" else DescentOptions()
         model, point = plus, minimize(plus, initial_guess(plus, p1["phi1"]), opts)
         assert (point.converged, point.iterations) == (
             False, 2 if case == "descent_capped" else 0)

@@ -191,6 +191,14 @@ def test_blow_up_is_flagged(nl):
     assert np.max(np.abs(shot.values)) > 10.0 * RT60 - 1.0
 
 
+def test_lane_that_overflows_within_a_step_is_flagged(nl):
+    # slope 1e8 overflows to NaN in the first step; a NaN lane passes the cap
+    # as well, and leaves the other lanes of its sweep frozen as they pass it
+    for slopes in ([50.0, 1e8], [1e8, 50.0]):
+        _, blown = sweep(nl, 1.0, np.array(slopes), 256)
+        assert blown.tolist() == [True, True]
+
+
 def test_step_floor(nl):
     with pytest.raises(ValueError):
         shoot(nl, 1.0, 1.0, 100)
